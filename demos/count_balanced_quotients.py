@@ -1,9 +1,10 @@
 """Count the cycle partitions with balanced quotients, row by row.
 
-For each k the search walks restricted growth strings over the 2k cycle
-vertices and buckets by block count.  The three closed-form columns
-(j = 1, 2, k+1) come out as 1, a central binomial minus one, and a Catalan
-number; everything in between has no known formula.
+For each k the balanced-quotient engine places the 2k cycle vertices one at
+a time, merging prefixes that reach the same block/imbalance state, and
+buckets the balanced partitions by block count.  The three closed-form
+columns (j = 1, 2, k+1) come out as 1, a central binomial minus one, and a
+Catalan number; everything in between has no known formula.
 """
 
 import math
@@ -15,7 +16,7 @@ print("exact counts F(2k, j) of balanced-quotient partitions")
 print()
 for k in range(1, 7):
     started = time.perf_counter()
-    row = count_ddcg_partitions(k, workers=2)
+    row = count_ddcg_partitions(k)
     elapsed = time.perf_counter() - started
     assert tuple(row) == REFERENCE_COUNTS[2 * k]
     print(f"2k = {2 * k:2d}  ({elapsed:5.2f}s)  {row}")
@@ -29,5 +30,5 @@ print(f"  F(12, 7) = {row[6]} = Catalan(6) = {math.comb(12, 6) // 7}")
 
 print()
 print("the unpruned lattice oracle agrees (k = 4):")
-print(f"  search: {count_ddcg_partitions(4)}")
+print(f"  engine: {count_ddcg_partitions(4)}")
 print(f"  brute:  {count_brute(4)}")

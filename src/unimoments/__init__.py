@@ -10,13 +10,9 @@ same counts only up to k = 5, and validates everything by Monte Carlo.
 """
 
 from .counting import (
-    FTable,
-    ImbalanceLedger,
-    SearchNode,
     bell_number,
     count_brute,
     count_ddcg_partitions,
-    parallel_plan,
 )
 from .errors import InternalCheckError, ScaleLimitError
 from .graphs import (
@@ -24,6 +20,7 @@ from .graphs import (
     ColoredDigraph,
     SetPartition,
     alternating_cycle,
+    balanced_quotient_counts,
     injective_traffic_brute,
     injective_traffic_value,
     is_ddcg,
@@ -65,18 +62,15 @@ __all__ = [
     "alternating_cycle",
     "quotient",
     "is_ddcg",
+    "balanced_quotient_counts",
     "injective_traffic_value",
     "injective_traffic_brute",
     "traffic_state_brute",
     "tau_via_quotients",
     "iter_partitions",
-    "ImbalanceLedger",
-    "SearchNode",
-    "FTable",
     "bell_number",
     "count_ddcg_partitions",
     "count_brute",
-    "parallel_plan",
     "MomentPolynomial",
     "moment_polynomial",
     "pochhammer_to_monomial",

@@ -148,13 +148,13 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 
 
 def _resolve_workers(requested: int | None) -> int:
+    """Worker count for ``mc``: 0 means every CPU, and no request gets more."""
     if requested is None:
         requested = int(os.environ.get("MOMENTS_WORKERS", "1"))
-    if requested == 0:
-        return os.cpu_count() or 1
     if requested < 0:
         raise ValueError("--workers must be >= 0")
-    return requested
+    cpus = os.cpu_count() or 1
+    return min(requested, cpus) if requested else cpus
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -168,17 +168,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes; 0 = auto-detect "
-                            "(default: MOMENTS_WORKERS or 1)")
+                       help="worker processes for mc, at most the CPU count; "
+                            "0 = all CPUs (default: MOMENTS_WORKERS or 1); "
+                            "other commands accept and ignore it")
 
     p_count = sub.add_parser("count", help="balanced-quotient counts F(2k, j)")
     group = p_count.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int)
     group.add_argument("--k-range", type=_parse_k_range, metavar="A..B")
-    p_count.add_argument("--no-prune", action="store_true",
-                         help="disable search pruning (soundness checks only)")
     p_count.add_argument("--brute", action="store_true",
-                         help="use the partition-lattice oracle instead of the search")
+                         help="use the partition-lattice oracle instead of the engine")
     add_common(p_count)
 
     p_poly = sub.add_parser("poly", help="moment polynomial Q_k in both bases")
@@ -201,7 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args):
-    workers = _resolve_workers(args.workers)
     if args.k is not None:
         ks = [args.k]
     else:
@@ -209,17 +207,12 @@ def _cmd_count(args):
         ks = list(range(lo, hi + 1))
     rows = []
     for k in ks:
-        if args.brute:
-            row = counting.count_brute(k)
-        else:
-            row = counting.count_ddcg_partitions(k, workers=workers,
-                                                 prune=not args.no_prune)
+        row = counting.count_brute(k) if args.brute else counting.count_ddcg_partitions(k)
         rows.extend(
             {"two_k": 2 * k, "j": j, "count": c}
             for j, c in enumerate(row, start=1)
         )
-    parameters = {"k": ks, "brute": args.brute, "prune": not args.no_prune,
-                  "workers": workers}
+    parameters = {"k": ks, "brute": args.brute}
     return parameters, {"rows": rows}, ["two_k", "j", "count"]
 
 

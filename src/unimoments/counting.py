@@ -5,159 +5,29 @@ of the cycle's 2k vertices into j blocks whose quotient graph is a d.d.c.g.
 The weighted sum over j of F(2k, j) times the falling factorial (N)_j gives
 N^(2k+1) times the k-th mean spectral moment of the squared ensemble.
 
-The counter is a depth-first search over restricted growth strings in cycle
-order: assigning vertex i fixes edge e_(i-1), so each step touches exactly
-one new edge and updates a sparse signed imbalance ledger.  Three admissible
-prunes keep the search far below the Bell-number raw space:
-
-* bound: every unapplied edge moves the ledger's l1 mass by exactly 1, so a
-  branch dies once l1 exceeds the number of edges still to apply;
-* parity: for the same reason l1 must agree with the remaining edge count
-  mod 2;
-* block cap: a connected balanced quotient of a 2k-edge cycle pairs its
-  edges red/blue across at most k distinct vertex pairs, and connectivity
-  on j vertices needs j-1 pairs, so j can never exceed k+1.
-
-All three are validated against the unpruned brute-force oracle, which walks
-the full partition lattice through the graph-core quotient and balance
-predicate.  Counts are exact Python integers and merge by addition, so
-results are identical for every worker count.
+The counts come from the balanced-quotient engine,
+``graphs.balanced_quotient_counts``, applied to the alternating 2k-cycle:
+a layered state dynamic program that places the cycle's vertices in order
+and prunes exactly on the imbalance mass, the edge parity and the block cap
+k + 1.  ``count_brute`` is the independent oracle: it walks the full
+partition lattice through the graph-core quotient and balance predicate.
+Counts are exact Python integers.
 """
 
 from __future__ import annotations
-
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from . import graphs
 from .errors import InternalCheckError, ScaleLimitError
 
 __all__ = [
-    "ImbalanceLedger",
-    "SearchNode",
-    "FTable",
     "count_ddcg_partitions",
     "count_brute",
-    "parallel_plan",
     "bell_number",
-    "DEFAULT_MAX_K",
     "BRUTE_MAX_K",
 ]
 
-# Beyond this the search still runs, but with a runtime warning.
-DEFAULT_MAX_K = 8
 # Bell(12) ~ 4.2e6 partitions is the most the lattice-walking oracle will do.
 BRUTE_MAX_K = 6
-
-# Ledger keys pack an ordered block pair as (u << _SHIFT) | v.
-_SHIFT = 6
-_MAX_BLOCKS_REPRESENTABLE = 1 << _SHIFT
-
-
-class ImbalanceLedger:
-    """Sparse signed red-minus-blue imbalance per ordered block pair.
-
-    Entry (u, v) counts red edges u -> v minus blue edges v -> u among the
-    edges applied so far; ``l1_total`` is the sum of absolute values.  The
-    ledger is all-zero after every edge of a quotient exactly when that
-    quotient is balanced.
-    """
-
-    __slots__ = ("_entries", "l1_total")
-
-    def __init__(self):
-        self._entries: dict[int, int] = {}
-        self.l1_total = 0
-
-    def apply_edge(self, tail_block: int, head_block: int, red: bool) -> None:
-        if max(tail_block, head_block) >= _MAX_BLOCKS_REPRESENTABLE:
-            raise ScaleLimitError(f"ledger supports < {_MAX_BLOCKS_REPRESENTABLE} blocks")
-        if red:
-            key = (tail_block << _SHIFT) | head_block
-            old = self._entries.get(key, 0)
-            new = old + 1
-            self.l1_total += 1 if old >= 0 else -1
-        else:
-            key = (head_block << _SHIFT) | tail_block
-            old = self._entries.get(key, 0)
-            new = old - 1
-            self.l1_total += 1 if old <= 0 else -1
-        if new:
-            self._entries[key] = new
-        else:
-            del self._entries[key]
-
-    def balance(self, u: int, v: int) -> int:
-        return self._entries.get((u << _SHIFT) | v, 0)
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def copy(self) -> "ImbalanceLedger":
-        out = ImbalanceLedger.__new__(ImbalanceLedger)
-        out._entries = dict(self._entries)
-        out.l1_total = self.l1_total
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ImbalanceLedger)
-            and self._entries == other._entries
-            and self.l1_total == other.l1_total
-        )
-
-    def __repr__(self):
-        pairs = {
-            (k >> _SHIFT, k & (_MAX_BLOCKS_REPRESENTABLE - 1)): v
-            for k, v in sorted(self._entries.items())
-        }
-        return f"ImbalanceLedger({pairs}, l1={self.l1_total})"
-
-
-@dataclass
-class SearchNode:
-    """A search-tree prefix: vertices 0..next_vertex-1 assigned, ledger up to date.
-
-    The ledger reflects exactly the edges with both endpoints assigned; the
-    wrap edge enters only when the final vertex is placed.
-    """
-
-    next_vertex: int
-    prefix: tuple[int, ...]
-    ledger: ImbalanceLedger = field(default_factory=ImbalanceLedger)
-    blocks_used: int = 0
-
-
-class FTable:
-    """Exact counts F(2k, j) keyed by (2k, j); rows cover j = 1..k+1."""
-
-    def __init__(self):
-        self._rows: dict[int, tuple[int, ...]] = {}
-
-    def add_row(self, two_k: int, row) -> None:
-        if two_k % 2 or two_k < 2:
-            raise ValueError("two_k must be a positive even integer")
-        row = tuple(int(c) for c in row)
-        if len(row) != two_k // 2 + 1:
-            raise ValueError(f"row for 2k={two_k} must have {two_k // 2 + 1} entries")
-        self._rows[two_k] = row
-
-    def row(self, two_k: int) -> tuple[int, ...]:
-        return self._rows[two_k]
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        two_k, j = key
-        row = self._rows[two_k]
-        if j < 1:
-            raise KeyError(key)
-        return row[j - 1] if j <= len(row) else 0
-
-    def __contains__(self, two_k: int) -> bool:
-        return two_k in self._rows
-
-    def two_ks(self) -> list[int]:
-        return sorted(self._rows)
 
 
 def bell_number(n: int) -> int:
@@ -173,146 +43,15 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def _search_from(k: int, next_vertex: int, prefix, entries: dict[int, int],
-                 l1: int, blocks_used: int, prune: bool) -> list[int]:
-    """Count accepted leaves below one search prefix, bucketed by block count.
+def count_ddcg_partitions(k: int) -> list[int]:
+    """Exact row [F(2k, 1), ..., F(2k, k+1)] from the balanced-quotient engine.
 
-    Returns a list indexed by j (0 unused, up to 2k).  ``entries`` is the
-    packed-key ledger for the prefix; it is copied, never mutated.
-    """
-    two_k = 2 * k
-    counts = [0] * (two_k + 2)
-    max_blocks = (k + 1) if prune else two_k
-    ledger = [0] * (1 << (2 * _SHIFT))
-    for key, value in entries.items():
-        ledger[key] = value
-
-    if next_vertex == two_k:
-        # completed assignment handed over by a deep parallel plan
-        if l1 == 0:
-            counts[blocks_used] += 1
-        return counts
-
-    def dfs(i: int, prev: int, m: int, cur_l1: int) -> None:
-        red = i & 1  # edge e_(i-1) is red exactly when i-1 is even
-        last = i == two_k - 1
-        rem = two_k - i
-        width = m + 1 if m < max_blocks else m
-        for c in range(width):
-            if red:
-                key1 = (prev << _SHIFT) | c
-                old1 = ledger[key1]
-                new1 = old1 + 1
-                nl1 = cur_l1 + (1 if old1 >= 0 else -1)
-            else:
-                key1 = (c << _SHIFT) | prev
-                old1 = ledger[key1]
-                new1 = old1 - 1
-                nl1 = cur_l1 + (1 if old1 <= 0 else -1)
-            m2 = m + 1 if c == m else m
-            if last:
-                # wrap edge e_(2k-1) is blue, from vertex 2k-1 to vertex 0
-                key2 = c  # (0 << _SHIFT) | c
-                old2 = new1 if key2 == key1 else ledger[key2]
-                nl2 = nl1 + (1 if old2 <= 0 else -1)
-                if nl2 == 0:
-                    counts[m2] += 1
-            else:
-                if prune and (nl1 > rem or ((rem - nl1) & 1)):
-                    continue
-                ledger[key1] = new1
-                dfs(i + 1, c, m2, nl1)
-                ledger[key1] = old1
-
-    if next_vertex == 0:
-        dfs(1, 0, 1, 0)  # vertex 0 is pinned to block 0 and applies no edge
-    else:
-        dfs(next_vertex, prefix[-1], blocks_used, l1)
-    return counts
-
-
-def _count_subtree(args) -> list[int]:
-    k, prune, next_vertex, prefix, entries, l1, blocks_used = args
-    return _search_from(k, next_vertex, prefix, entries, l1, blocks_used, prune)
-
-
-def _node_args(k: int, prune: bool, node: SearchNode):
-    return (k, prune, node.next_vertex, node.prefix,
-            dict(node.ledger._entries), node.ledger.l1_total, node.blocks_used)
-
-
-def _expand(node: SearchNode, k: int, prune: bool) -> list[SearchNode]:
-    """Children of a plan node, mirroring the search's edge application and prunes."""
-    two_k = 2 * k
-    i = node.next_vertex
-    if i == 0:
-        return [SearchNode(1, (0,), ImbalanceLedger(), 1)]
-    max_blocks = (k + 1) if prune else two_k
-    width = node.blocks_used + 1 if node.blocks_used < max_blocks else node.blocks_used
-    prev = node.prefix[-1]
-    children = []
-    for c in range(width):
-        ledger = node.ledger.copy()
-        ledger.apply_edge(prev, c, red=bool(i & 1))
-        if i == two_k - 1:
-            ledger.apply_edge(c, 0, red=False)  # wrap edge
-        else:
-            rem = two_k - i
-            if prune and (ledger.l1_total > rem or ((rem - ledger.l1_total) & 1)):
-                continue
-        children.append(
-            SearchNode(i + 1, node.prefix + (c,), ledger,
-                       node.blocks_used + 1 if c == node.blocks_used else node.blocks_used)
-        )
-    return children
-
-
-def parallel_plan(k: int, worker_count: int, prune: bool = True) -> list[SearchNode]:
-    """Split the search into independent subtree roots for ``worker_count`` workers.
-
-    Expands prefixes breadth-first to the smallest depth holding at least
-    4 * worker_count viable nodes (or until prefixes are complete).  The
-    subtrees partition the leaf set, and counts merge by exact addition, so
-    totals never depend on how many workers consume the plan.
-    """
-    if worker_count < 1:
-        raise ValueError("worker_count must be >= 1")
-    root = SearchNode(0, ())
-    if worker_count == 1:
-        return [root]
-    frontier = [root]
-    target = 4 * worker_count
-    while len(frontier) < target and frontier[0].next_vertex < 2 * k:
-        frontier = [child for node in frontier for child in _expand(node, k, prune)]
-        if not frontier:
-            break
-    return frontier
-
-
-def count_ddcg_partitions(k: int, workers: int = 1, prune: bool = True) -> list[int]:
-    """Exact row [F(2k, 1), ..., F(2k, k+1)] by pruned depth-first search.
-
-    ``workers`` > 1 distributes subtree roots over a process pool; the result
-    is identical for every worker count.  Disabling ``prune`` walks the raw
-    Bell space (slow; intended for soundness checks).
+    Raises ScaleLimitError when the engine's layers outgrow
+    ``graphs.MAX_LAYER_STATES``.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if k > DEFAULT_MAX_K:
-        warnings.warn(
-            f"k={k} is past the default ceiling {DEFAULT_MAX_K}; "
-            "expect a long search",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if workers == 1:
-        counts = _count_subtree(_node_args(k, prune, SearchNode(0, ())))
-    else:
-        plan = parallel_plan(k, workers, prune)
-        counts = [0] * (2 * k + 2)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for sub in pool.map(_count_subtree, [_node_args(k, prune, n) for n in plan]):
-                counts = [a + b for a, b in zip(counts, sub)]
+    counts = graphs.balanced_quotient_counts(graphs.alternating_cycle(k))
     if any(counts[k + 2:]) or counts[0]:
         raise InternalCheckError(f"impossible block counts for k={k}: {counts}")
     return counts[1:k + 2]
@@ -322,7 +61,7 @@ def count_brute(k: int) -> list[int]:
     """Unpruned oracle: walk every partition, quotient the cycle, test balance.
 
     Deliberately routed through the graph-core operations rather than the
-    ledger so the two paths stay independent.
+    engine so the two paths stay independent.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")

@@ -11,14 +11,18 @@ when for every ordered vertex pair (u, v), loops included, the number of red
 edges u -> v equals the number of blue edges v -> u.  Balanced quotients are
 exactly the ones that survive expectation over the unit circle, and each one
 contributes a falling factorial to the trace of the graph operation.  This
-module evaluates those contributions exactly, and also carries brute-force
-Monte Carlo evaluators that serve as independent oracles at small scale.
+module counts the balanced quotients of any colored graph exactly, bucketed
+by block count (``balanced_quotient_counts``), and evaluates traffic states
+from those counts.  The lattice path (``iter_partitions``, ``quotient``,
+``is_ddcg``) and brute-force Monte Carlo evaluators stay as independent
+oracles at small scale.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -35,6 +39,7 @@ __all__ = [
     "alternating_cycle",
     "quotient",
     "is_ddcg",
+    "balanced_quotient_counts",
     "injective_traffic_value",
     "tau_via_quotients",
     "traffic_state_brute",
@@ -46,8 +51,11 @@ __all__ = [
 BRUTE_MAX_N = 6
 BRUTE_MAX_VERTICES = 6
 
-# Full partition-lattice enumeration; Bell(12) is ~4.2e6.
-QUOTIENT_SUM_MAX_VERTICES = 12
+# The most states one layer of balanced_quotient_counts may hold.  Cycle
+# states measured about 140 bytes each (a 67-byte key, a count and a dict
+# slot) at 2k = 22, whose widest layer has 465k states.  Two layers are alive
+# at once, so a layer at the cap and the one built from it stay under 1 GiB.
+MAX_LAYER_STATES = 2_000_000
 
 
 class Color(Enum):
@@ -232,35 +240,167 @@ def injective_traffic_value(g: ColoredDigraph, n: int) -> Fraction:
     return Fraction(math.perm(n, g.vertex_count), n)
 
 
-def tau_via_quotients(g: ColoredDigraph, n: int) -> Fraction:
-    """Exact traffic state of ``g`` as the sum of injective values over all quotients.
+def _component_count(g: ColoredDigraph) -> int:
+    """Connected components of the underlying undirected graph, isolated vertices included."""
+    parent = list(range(g.vertex_count))
 
-    Enumerates the full partition lattice of the vertex set, so the graph is
-    capped at QUOTIENT_SUM_MAX_VERTICES vertices.
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = g.vertex_count
+    for tail, head, _ in g.edges:
+        a, b = root(tail), root(head)
+        if a != b:
+            parent[a] = b
+            components -= 1
+    return components
+
+
+def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
+    """Entry j is the number of partitions into j blocks whose quotient of ``g`` is balanced.
+
+    The list has ``g.vertex_count + 1`` entries; entry 0 is 1 only for the
+    empty graph, whose one (empty) partition has no blocks.
+
+    A forward dynamic program over the vertices in index order assigns each
+    vertex a block and applies every edge when its later endpoint is placed.
+    After vertex v, a vertex is *active* if it has an edge to a vertex not
+    yet placed, and the *ledger* holds, for each ordered block pair (u, w),
+    red edges u -> w minus blue edges w -> u among the edges placed so far.
+    The completions of a prefix depend only on its state: the block count m,
+    the blocks of the active vertices, and the ledger.  A layer maps each
+    state to the number of prefixes that reach it.  Blocks are relabelled by
+    first appearance (active vertices first, then ledger entries), and the
+    blocks neither active nor in the ledger are interchangeable, so a new
+    vertex joins any one of them through a single state of weight m - r.
+
+    Three prunes are exact, so the counts are too:
+
+    * bound: every unplaced edge moves the ledger's l1 mass by exactly 1, so
+      a state whose l1 exceeds the number of unplaced edges dies;
+    * parity: for the same reason l1 always has the parity of the edges
+      placed so far, so nothing balances when the edge count is odd;
+    * block cap: a balanced quotient pairs its edges red/blue across at most
+      E/2 block pairs and has no more components than ``g``, so it has at
+      most (components of g) + E/2 blocks; for the 2k-cycle that is k + 1.
+
+    Raises ScaleLimitError when a layer outgrows MAX_LAYER_STATES.
     """
+    vertex_count, edge_count = g.vertex_count, g.edge_count
+    counts = [0] * (vertex_count + 1)
+    if edge_count % 2:
+        return counts
+    block_cap = _component_count(g) + edge_count // 2
+    last_neighbour = list(range(vertex_count))
+    placed_with: list[list[tuple[int, int, int]]] = [[] for _ in range(vertex_count)]
+    for tail, head, color in g.edges:
+        later = max(tail, head)
+        last_neighbour[tail] = max(last_neighbour[tail], later)
+        last_neighbour[head] = max(last_neighbour[head], later)
+        # red u -> w adds 1 to pair (u, w); blue w -> u takes 1 from the same pair
+        placed_with[later].append((tail, head, 1) if color is Color.RED else (head, tail, -1))
+    # A key is [m, active blocks..., (u, w, balance + E) per ledger entry],
+    # every item in 0..max(V, 2E): one byte each whenever that fits.
+    code = "B" if max(vertex_count, 2 * edge_count) < 256 else "I"
+    layer = {array(code, [0]).tobytes(): 1}
+    active: list[int] = []
+    remaining = edge_count
+    for v in range(vertex_count):
+        slot = {u: i for i, u in enumerate(active)}
+        slot[v] = len(active)
+        edges = [(slot[x], slot[y], delta) for x, y, delta in placed_with[v]]
+        remaining -= len(edges)
+        active = [u for u in active + [v] if last_neighbour[u] > v]
+        keep = [slot[u] for u in active]
+        layer = _next_layer(layer, code, len(slot) - 1, edges, keep, remaining,
+                            edge_count, block_cap)
+    for key, ways in layer.items():
+        counts[array(code, key)[0]] += ways  # the ledger is empty: l1 <= 0 edges left
+    return counts
+
+
+def _next_layer(layer: dict, code: str, width: int, edges, keep, remaining: int,
+                offset: int, block_cap: int) -> dict:
+    """Place one vertex in every state of ``layer``; see balanced_quotient_counts.
+
+    ``width`` is the number of active blocks in a key of ``layer``; in
+    ``edges`` and ``keep`` index ``width`` is the new vertex and smaller
+    indices are the active vertices in order.
+    """
+    unset = offset * 2 + width + 2  # above every block label
+    nxt: dict[bytes, int] = {}
+    for key, ways in layer.items():
+        items = array(code, key)
+        m = items[0]
+        labels = list(items[1:width + 1])
+        ledger = {}
+        l1 = 0
+        r = max(labels) + 1 if labels else 0
+        for i in range(width + 1, len(items), 3):
+            u, w, balance = items[i], items[i + 1], items[i + 2] - offset
+            ledger[u, w] = balance
+            l1 += abs(balance)
+            r = max(r, u + 1, w + 1)
+        # join a block that is active or in the ledger, one of the m - r
+        # untouched blocks, or a new block; labels 0..r-1 are the first kind
+        choices = [(c, m, 1) for c in range(r)]
+        if m > r:
+            choices.append((r, m, m - r))
+        if m < block_cap:
+            choices.append((r, m + 1, 1))
+        for c, m2, weight in choices:
+            blocks = labels + [c]
+            child = dict(ledger)
+            child_l1 = l1
+            for x, y, delta in edges:
+                pair = (blocks[x], blocks[y])
+                old = child.get(pair, 0)
+                new = old + delta
+                child_l1 += abs(new) - abs(old)
+                if new:
+                    child[pair] = new
+                else:
+                    del child[pair]
+            if child_l1 > remaining:
+                continue
+            relabel: dict[int, int] = {}
+            out = [m2]
+            for x in keep:
+                out.append(relabel.setdefault(blocks[x], len(relabel)))
+            triples = []
+            loose = []
+            for (u, w), balance in child.items():
+                a, b = relabel.get(u, unset), relabel.get(w, unset)
+                if a == unset or b == unset:
+                    loose.append((a, b, balance, u, w))
+                else:
+                    triples.append((a, b, balance + offset))
+            loose.sort()
+            for _, _, balance, u, w in loose:
+                a = relabel.setdefault(u, len(relabel))
+                b = relabel.setdefault(w, len(relabel))
+                triples.append((a, b, balance + offset))
+            triples.sort()
+            for triple in triples:
+                out.extend(triple)
+            child_key = array(code, out).tobytes()
+            nxt[child_key] = nxt.get(child_key, 0) + ways * weight
+        if len(nxt) > MAX_LAYER_STATES:
+            raise ScaleLimitError(
+                f"a balanced-quotient layer outgrew {MAX_LAYER_STATES} states"
+            )
+    return nxt
+
+
+def tau_via_quotients(g: ColoredDigraph, n: int) -> Fraction:
+    """Exact traffic state of ``g``: the sum over balanced quotients of (n)_blocks / n."""
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    if g.vertex_count > QUOTIENT_SUM_MAX_VERTICES:
-        raise ScaleLimitError(
-            f"refusing full partition enumeration for {g.vertex_count} > "
-            f"{QUOTIENT_SUM_MAX_VERTICES} vertices"
-        )
-    edges = g.edges
-    total = 0
-    for rgs in _iter_rgs(g.vertex_count):
-        balance: dict[tuple[int, int], int] = {}
-        for tail, head, color in edges:
-            key = (rgs[tail], rgs[head]) if color is Color.RED else (rgs[head], rgs[tail])
-            delta = 1 if color is Color.RED else -1
-            new = balance.get(key, 0) + delta
-            if new:
-                balance[key] = new
-            else:
-                balance.pop(key, None)
-        if not balance:
-            blocks = (max(rgs) + 1) if rgs else 0
-            total += math.perm(n, blocks)
-    return Fraction(total, n)
+    counts = balanced_quotient_counts(g)
+    return Fraction(sum(c * math.perm(n, j) for j, c in enumerate(counts)), n)
 
 
 def _check_brute_scale(g: ColoredDigraph, n: int):

@@ -121,6 +121,7 @@ def _batch_traces(n: int, powers: tuple[int, ...], seed: int,
 def _all_traces(n: int, powers: tuple[int, ...], samples: int, seed: int,
                 workers: int) -> np.ndarray:
     n_batches = -(-samples // _BATCH)
+    workers = min(workers, n_batches)
     if workers <= 1:
         parts = [_batch_traces(n, powers, seed, b, samples) for b in range(n_batches)]
     else:

@@ -18,11 +18,14 @@ def unimodular_stream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one (seed, sample index) pair.
 
     The 128-bit Philox key is the seed in the low word and the index in the
-    high word; distinct pairs never share a stream.
+    high word; distinct pairs never share a stream.  The seed must fit the
+    low word, in [0, 2^64), so that no two seeds share a stream.
     """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("seed must be in [0, 2^64)")
     if index < 0:
         raise ValueError("sample index must be nonnegative")
-    key = (int(seed) & _MASK64) | ((int(index) & _MASK64) << 64)
+    key = int(seed) | ((int(index) & _MASK64) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -1,9 +1,9 @@
 """Reference tables of balanced-quotient counts and their Borel-triangle prediction.
 
 ``REFERENCE_COUNTS`` holds the exact values of F(2k, j), j = 1..k+1, for
-2k = 2..22.  Columns with 2k <= 16 are reproducible here by direct search
-(see ``counting``); the larger columns are included as reference data for
-opportunistic verification only.
+2k = 2..22.  The test suite recomputes every column through 2k = 20 with
+the balanced-quotient engine (see ``counting``); 2k = 22 is recomputable
+too, in about a minute, but is not part of the test suite.
 
 ``CONJECTURED_COUNTS`` holds, for the same range, the closed-form prediction
 obtained from the Borel triangle.  It matches the exact counts for k <= 5

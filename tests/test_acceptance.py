@@ -43,15 +43,15 @@ def check(criterion, description, ok):
 
 @pytest.fixture(scope="module")
 def timed_rows():
-    """Rows for 2k <= 12, computed with pruning and parallelism, with wall time."""
+    """Rows for 2k <= 12 from the balanced-quotient engine, with wall time."""
     started = time.perf_counter()
-    rows = {k: count_ddcg_partitions(k, workers=WORKERS) for k in range(1, 7)}
+    rows = {k: count_ddcg_partitions(k) for k in range(1, 7)}
     return rows, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
 def row_k7():
-    return count_ddcg_partitions(7, workers=WORKERS)
+    return count_ddcg_partitions(7)
 
 
 def test_criterion_1_reference_counts_through_2k12(timed_rows):
@@ -144,11 +144,8 @@ def test_criterion_6_basis_round_trip():
 def test_criterion_7_oracle_equivalence():
     ok = True
     for k in range(1, 6):
-        brute = count_brute(k)
-        ok = ok and brute == count_ddcg_partitions(k, workers=1)
-        ok = ok and brute == count_ddcg_partitions(k, workers=4)
-        ok = ok and brute == count_ddcg_partitions(k, workers=1, prune=False)
-    check(7, "pruned counts at 1 and 4 workers equal brute force for k <= 5", ok)
+        ok = ok and count_brute(k) == count_ddcg_partitions(k)
+    check(7, "engine counts equal brute force for k <= 5", ok)
 
 
 def test_criterion_8_monte_carlo_agreement():
@@ -222,17 +219,28 @@ def test_criterion_10_reference_data_shipped_for_large_columns():
         ok = ok and two_k in CONJECTURED_COUNTS
     check(
         10,
-        "columns 2k = 16..22 ship as reference data (identity spot checks "
-        "only; not gated on recomputation)",
+        "columns 2k = 16..22 ship as reference data (identity spot checks; "
+        "2k = 16..20 are also recomputed below)",
         ok,
     )
 
 
-@pytest.mark.slow
 def test_criterion_10_opportunistic_2k16():
-    row = count_ddcg_partitions(8, workers=WORKERS)
+    row = count_ddcg_partitions(8)
     check(
         "10 (opportunistic)",
         "recomputed 2k = 16 column matches the reference table",
         tuple(row) == REFERENCE_COUNTS[16],
+    )
+
+
+@pytest.mark.slow
+def test_criterion_10_recomputed_2k18_2k20():
+    started = time.perf_counter()
+    ok = all(tuple(count_ddcg_partitions(k)) == REFERENCE_COUNTS[2 * k] for k in (9, 10))
+    check(
+        "10 (recomputed)",
+        f"recomputed 2k = 18 and 20 columns match the reference table "
+        f"({time.perf_counter() - started:.0f}s)",
+        ok,
     )

@@ -8,7 +8,7 @@ import os
 import jsonschema
 import pytest
 
-from unimoments import cli, montecarlo
+from unimoments import cli, graphs, montecarlo
 
 
 def run_cli(capsys, *argv):
@@ -51,11 +51,6 @@ class TestCountCommand:
         base = run_json(capsys, "count", "--k", "3")
         brute = run_json(capsys, "count", "--k", "3", "--brute")
         assert base["results"]["rows"] == brute["results"]["rows"]
-
-    def test_no_prune_agrees(self, capsys):
-        base = run_json(capsys, "count", "--k", "3")
-        unpruned = run_json(capsys, "count", "--k", "3", "--no-prune")
-        assert base["results"]["rows"] == unpruned["results"]["rows"]
 
     def test_csv_projection_matches_json(self, capsys):
         record = run_json(capsys, "count", "--k", "3")
@@ -215,22 +210,76 @@ class TestExitCodes:
     def test_scale_refusal_beyond_reference(self, capsys):
         assert cli.main(["poly", "--k", "12"]) == 3
 
+    def test_scale_refusal_for_layer_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 10)
+        assert cli.main(["count", "--k", "5"]) == 3
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_usage_error_on_seed_out_of_range(self, capsys, seed):
+        argv = ["mc", "--n", "2", "--k", "2", "--samples", "100", "--seed", seed]
+        assert cli.main(argv) == 2
+
     def test_internal_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(montecarlo, "HERMITIAN_DRIFT_TOL", -1.0)
         assert cli.main(["mc", "--n", "2", "--k", "1", "--samples", "100"]) == 4
 
 
+MC_ARGS = ("mc", "--n", "2", "--k", "2", "--seed", "3")
+
+
+@pytest.fixture
+def pool_widths(monkeypatch):
+    """Four CPUs and an in-process pool that records each requested width."""
+    widths = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    return widths
+
+
 class TestWorkers:
-    def test_env_default(self, capsys, monkeypatch):
+    def test_env_default(self, capsys, monkeypatch, pool_widths):
         monkeypatch.setenv("MOMENTS_WORKERS", "2")
-        record = run_json(capsys, "count", "--k", "2")
+        record = run_json(capsys, *MC_ARGS, "--samples", "3000")
         assert record["parameters"]["workers"] == 2
+        assert pool_widths == [2]
 
-    def test_zero_means_auto(self, capsys):
-        record = run_json(capsys, "count", "--k", "2", "--workers", "0")
-        assert record["parameters"]["workers"] == (os.cpu_count() or 1)
+    def test_zero_means_auto(self, capsys, pool_widths):
+        record = run_json(capsys, *MC_ARGS, "--samples", "5000", "--workers", "0")
+        assert record["parameters"]["workers"] == 4
+        assert pool_widths == [4]
 
-    def test_multiworker_payload_matches(self, capsys):
-        one = run_json(capsys, "count", "--k", "4", "--workers", "1")
-        two = run_json(capsys, "count", "--k", "4", "--workers", "2")
+    def test_request_capped_at_cpu_count(self, capsys, monkeypatch, pool_widths):
+        record = run_json(capsys, *MC_ARGS, "--samples", "5000", "--workers", "5000")
+        assert record["parameters"]["workers"] == 4
+        monkeypatch.setenv("MOMENTS_WORKERS", "5000")
+        assert cli._resolve_workers(None) == 4
+        assert pool_widths == [4]
+
+    def test_pool_no_wider_than_batches(self, capsys, pool_widths):
+        run_json(capsys, *MC_ARGS, "--samples", "1500", "--workers", "4")  # 2 batches
+        run_json(capsys, *MC_ARGS, "--samples", "1000", "--workers", "4")  # 1 batch
+        assert pool_widths == [2]
+
+    def test_multiworker_payload_matches(self, capsys, pool_widths):
+        one = run_json(capsys, *MC_ARGS, "--samples", "3000", "--workers", "1")
+        two = run_json(capsys, *MC_ARGS, "--samples", "3000", "--workers", "2")
         assert one["results"] == two["results"]
+        assert pool_widths == [2]
+
+    def test_count_accepts_and_ignores_workers(self, capsys):
+        record = run_json(capsys, "count", "--k", "2", "--workers", "2")
+        assert record["parameters"] == {"k": [2], "brute": False}

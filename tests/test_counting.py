@@ -1,28 +1,20 @@
-"""Enumerator tests: pruned search vs oracle, plan splitting, determinism."""
+"""Cycle counter tests: engine rows vs known rows and the lattice oracle."""
 
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from unimoments import (
-    Color,
-    FTable,
-    ImbalanceLedger,
-    InternalCheckError,
     ScaleLimitError,
-    SetPartition,
     alternating_cycle,
     bell_number,
     count_brute,
     count_ddcg_partitions,
     is_ddcg,
     iter_partitions,
-    parallel_plan,
     quotient,
 )
-from unimoments import counting
+from unimoments import counting, graphs
 
 # exact rows for small k: [F(2k, 1), ..., F(2k, k+1)]
 KNOWN_ROWS = {
@@ -34,14 +26,6 @@ KNOWN_ROWS = {
 }
 
 
-@st.composite
-def rgs_strings(draw, n):
-    rgs = [0]
-    for _ in range(n - 1):
-        rgs.append(draw(st.integers(0, max(rgs) + 1)))
-    return tuple(rgs)
-
-
 class TestBellNumber:
     def test_known_values(self):
         assert [bell_number(n) for n in range(9)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -49,57 +33,6 @@ class TestBellNumber:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bell_number(-1)
-
-
-class TestImbalanceLedger:
-    def test_tracks_l1_and_entries(self):
-        ledger = ImbalanceLedger()
-        ledger.apply_edge(0, 1, red=True)
-        assert ledger.balance(0, 1) == 1 and ledger.l1_total == 1
-        ledger.apply_edge(1, 0, red=False)  # blue 1 -> 0 cancels red 0 -> 1
-        assert ledger.is_zero() and ledger.l1_total == 0
-
-    def test_blue_reversal_key(self):
-        ledger = ImbalanceLedger()
-        ledger.apply_edge(2, 3, red=False)
-        assert ledger.balance(3, 2) == -1
-
-    def test_copy_is_independent(self):
-        ledger = ImbalanceLedger()
-        ledger.apply_edge(0, 0, red=True)
-        other = ledger.copy()
-        other.apply_edge(0, 0, red=False)
-        assert ledger.l1_total == 1 and other.l1_total == 0
-
-    @settings(deadline=None)
-    @given(st.integers(1, 4), st.data())
-    def test_zero_ledger_iff_balanced_quotient(self, k, data):
-        # feeding every cycle edge through the ledger must agree with is_ddcg
-        rgs = data.draw(rgs_strings(2 * k))
-        cycle = alternating_cycle(k)
-        ledger = ImbalanceLedger()
-        for tail, head, color in cycle.edges:
-            ledger.apply_edge(rgs[tail], rgs[head], red=color is Color.RED)
-        assert ledger.is_zero() == is_ddcg(quotient(cycle, SetPartition(rgs)))
-
-
-class TestFTable:
-    def test_row_round_trip(self):
-        table = FTable()
-        table.add_row(6, [1, 19, 24, 5])
-        assert table.row(6) == (1, 19, 24, 5)
-        assert table[6, 2] == 19
-        assert table[6, 9] == 0  # beyond k+1 is structurally zero
-        assert 6 in table and 8 not in table
-        with pytest.raises(KeyError):
-            table[8, 1]
-
-    def test_validation(self):
-        table = FTable()
-        with pytest.raises(ValueError):
-            table.add_row(5, [1, 1])
-        with pytest.raises(ValueError):
-            table.add_row(6, [1, 19, 24])
 
 
 class TestCountRows:
@@ -110,18 +43,6 @@ class TestCountRows:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_oracle_equivalence_small(self, k):
         assert count_brute(k) == count_ddcg_partitions(k)
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_pruning_soundness(self, k):
-        assert count_ddcg_partitions(k, prune=False) == count_ddcg_partitions(k)
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_invariance(self, workers):
-        for k in (1, 2, 4):
-            assert count_ddcg_partitions(k, workers=workers) == KNOWN_ROWS[k]
-
-    def test_parallel_unpruned_search(self):
-        assert count_ddcg_partitions(3, workers=2, prune=False) == KNOWN_ROWS[3]
 
     def test_footnote_identities(self):
         for k in range(1, 7):
@@ -140,46 +61,13 @@ class TestCountRows:
         with pytest.raises(ScaleLimitError):
             count_brute(counting.BRUTE_MAX_K + 1)
 
-    def test_ceiling_warning(self, monkeypatch):
-        monkeypatch.setattr(counting, "DEFAULT_MAX_K", 2)
-        with pytest.warns(RuntimeWarning, match="past the default ceiling"):
-            assert count_ddcg_partitions(3) == KNOWN_ROWS[3]
-
-
-def _raw_leaf_count(node, k):
-    """Completions below a plan node with pruning off (no acceptance filter)."""
-    if node.next_vertex == 2 * k:
-        return 1
-    return sum(_raw_leaf_count(child, k) for child in counting._expand(node, k, prune=False))
-
-
-class TestParallelPlan:
-    def test_single_worker_gets_single_root(self):
-        plan = parallel_plan(3, 1)
-        assert len(plan) == 1
-        assert plan[0].next_vertex == 0 and plan[0].prefix == ()
-
-    def test_depth_two_prefixes(self):
-        root = counting.SearchNode(0, ())
-        level1 = counting._expand(root, 2, prune=True)
-        assert [n.prefix for n in level1] == [(0,)]
-        level2 = [c for n in level1 for c in counting._expand(n, 2, prune=True)]
-        assert [n.prefix for n in level2] == [(0, 0), (0, 1)]
-
-    @pytest.mark.parametrize("k,workers", [(2, 2), (3, 2), (3, 4)])
-    def test_enough_nodes_for_workers(self, k, workers):
-        plan = parallel_plan(k, workers)
-        complete = all(n.next_vertex == 2 * k for n in plan)
-        assert len(plan) >= 4 * workers or complete
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_unpruned_subtrees_cover_bell_space(self, k):
-        plan = parallel_plan(k, 2, prune=False)
-        assert sum(_raw_leaf_count(n, k) for n in plan) == bell_number(2 * k)
-
-    def test_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            parallel_plan(2, 0)
+    def test_layer_guard(self, monkeypatch):
+        # the k = 5 cycle needs 87 states in its widest layer
+        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 86)
+        with pytest.raises(ScaleLimitError, match="86 states"):
+            count_ddcg_partitions(5)
+        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 87)
+        assert count_ddcg_partitions(5) == KNOWN_ROWS[5]
 
 
 class TestInternalConsistency:

@@ -1,0 +1,27 @@
+"""Smoke test: the demos that use the counting and traffic API run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "demo",
+    ["count_balanced_quotients", "moment_polynomials", "prediction_breakdown",
+     "traffic_states"],
+)
+def test_demo_runs(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unimoments import (
@@ -13,6 +13,7 @@ from unimoments import (
     ScaleLimitError,
     SetPartition,
     alternating_cycle,
+    balanced_quotient_counts,
     bell_number,
     injective_traffic_brute,
     injective_traffic_value,
@@ -27,9 +28,9 @@ R, B = Color.RED, Color.BLUE
 
 
 @st.composite
-def colored_digraphs(draw, max_vertices=5, max_edges=8):
-    v = draw(st.integers(1, max_vertices))
-    m = draw(st.integers(0, max_edges))
+def colored_digraphs(draw, max_vertices=5, max_edges=8, min_vertices=1):
+    v = draw(st.integers(min_vertices, max_vertices))
+    m = draw(st.integers(0, max_edges if v else 0))
     edges = tuple(
         (
             draw(st.integers(0, v - 1)),
@@ -200,10 +201,35 @@ class TestTauViaQuotients:
                 )
                 assert tau_via_quotients(alternating_cycle(k), n) == expected
 
-    def test_scale_refusal(self):
-        g = ColoredDigraph(13, ())
-        with pytest.raises(ScaleLimitError):
-            tau_via_quotients(g, 2)
+    def test_fourteen_isolated_vertices(self):
+        # every partition balances, and sum_j S(14, j) (n)_j = n^14
+        for n in (1, 2, 5):
+            assert tau_via_quotients(ColoredDigraph(14, ()), n) == n**13
+
+
+def lattice_counts(g):
+    """Balanced quotients by block count, walking the whole partition lattice."""
+    counts = [0] * (g.vertex_count + 1)
+    for p in iter_partitions(g.vertex_count):
+        if is_ddcg(quotient(g, p)):
+            counts[p.block_count] += 1
+    return counts
+
+
+class TestBalancedQuotientCounts:
+    @settings(deadline=None, max_examples=200)
+    @given(colored_digraphs(max_vertices=7, max_edges=8, min_vertices=0))
+    @example(ColoredDigraph(0, ()))
+    @example(ColoredDigraph(3, ((0, 0, R), (2, 2, B), (0, 2, R), (2, 0, B))))
+    @example(ColoredDigraph(4, ((1, 2, R), (1, 2, R), (2, 1, B), (2, 1, B))))
+    def test_matches_partition_lattice(self, g):
+        assert balanced_quotient_counts(g) == lattice_counts(g)
+
+    def test_states_wider_than_a_byte(self):
+        # 2E >= 256 or V >= 256 moves the packed state items to 4 bytes
+        pairs = ColoredDigraph(2, ((0, 1, R),) * 64 + ((1, 0, B),) * 64)
+        assert balanced_quotient_counts(pairs) == [0, 1, 1]
+        assert sum(balanced_quotient_counts(ColoredDigraph(256, ()))) == bell_number(256)
 
 
 class TestBruteOracles:

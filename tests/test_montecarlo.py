@@ -44,6 +44,13 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_unimodular(2, seed=1, index=-1)
 
+    def test_seed_range(self):
+        # -1 and 2^64 - 1 would share one stream if seeds wrapped mod 2^64
+        sample_unimodular(2, seed=2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                sample_unimodular(2, seed=seed)
+
 
 class TestPerSampleTraces:
     def test_traces_stay_in_range(self):
