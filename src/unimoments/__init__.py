@@ -33,7 +33,6 @@ from .montecarlo import (
     MomentEstimate,
     ValidationReport,
     estimate_moment,
-    sample_unimodular,
     validate_against_exact,
 )
 from .polynomials import (
@@ -51,6 +50,7 @@ from .polynomials import (
     pochhammer_to_monomial,
     stirling2,
 )
+from .sampling import sample_unimodular
 from .tables import CONJECTURED_COUNTS, REFERENCE_COUNTS
 
 __version__ = "0.1.0"

@@ -8,8 +8,10 @@ z-score against the exact value).
 JSON is the canonical format; every record carries schema_version, command,
 parameters, results, and runtime_ms.  CSV is a flat projection of the same
 rows.  Integers larger than 2^53 are emitted as decimal strings in JSON so
-double-precision consumers cannot corrupt them.  Exit codes: 0 success,
-2 usage error, 3 scale refusal, 4 internal numerical check failure.
+double-precision consumers cannot corrupt them, and infinite floats (the
+z-score of a zero standard error) as the strings "inf" and "-inf", so every
+record is strict JSON.  Exit codes: 0 success, 2 usage error, 3 scale
+refusal, 4 internal numerical check failure.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -26,7 +29,7 @@ from .errors import InternalCheckError, ScaleLimitError
 
 __all__ = ["main", "OUTPUT_SCHEMAS", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 JSON_SAFE_INT = 1 << 53
 
 EXIT_OK = 0
@@ -35,6 +38,7 @@ EXIT_SCALE = 3
 EXIT_INTERNAL = 4
 
 _INT_OR_STRING = {"type": ["integer", "string"]}
+_NUMBER_OR_INFINITY = {"anyOf": [{"type": "number"}, {"enum": ["inf", "-inf"]}]}
 
 
 def _envelope_schema(results: dict) -> dict:
@@ -123,12 +127,14 @@ OUTPUT_SCHEMAS: dict[str, dict] = {
         "mean": {"type": "number"},
         "std_error": {"type": "number"},
         "exact": {"type": "number"},
-        "z": {"type": "number"},
+        "z": _NUMBER_OR_INFINITY,
     })),
 }
 
 
 def _encode(value):
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
     if isinstance(value, bool) or not isinstance(value, int):
         return value
     return value if abs(value) <= JSON_SAFE_INT else str(value)
@@ -285,7 +291,7 @@ def _emit_json(command, parameters, results, runtime_ms, out):
         "results": encoded,
         "runtime_ms": runtime_ms,
     }
-    json.dump(record, out, indent=2)
+    json.dump(record, out, indent=2, allow_nan=False)
     out.write("\n")
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ScaleLimitError
-from .sampling import sample_unimodular
+from .sampling import unimodular_batch
 
 __all__ = [
     "Color",
@@ -50,6 +50,8 @@ __all__ = [
 # Brute-force evaluators sum over N**V (or (N)_V) vertex maps per sample.
 BRUTE_MAX_N = 6
 BRUTE_MAX_VERTICES = 6
+# Samples drawn from the stream at once by the brute-force evaluators.
+_BRUTE_CHUNK = 1024
 
 # The most states one layer of balanced_quotient_counts may hold.  Cycle
 # states measured about 140 bytes each (a 67-byte key, a count and a dict
@@ -431,9 +433,10 @@ def _edge_products(u: np.ndarray, edges, maps: np.ndarray) -> np.ndarray:
 
 def _brute_estimate(g, n, samples, seed, maps, with_stderr):
     values = np.empty(samples, dtype=np.complex128)
-    for s in range(samples):
-        u = sample_unimodular(n, seed, s)
-        values[s] = _edge_products(u, g.edges, maps).sum() / n
+    for start in range(0, samples, _BRUTE_CHUNK):
+        chunk = unimodular_batch(n, seed, start, min(_BRUTE_CHUNK, samples - start))
+        for s, u in enumerate(chunk, start):
+            values[s] = _edge_products(u, g.edges, maps).sum() / n
     mean = complex(values.mean())
     if not with_stderr:
         return mean

@@ -5,10 +5,12 @@ rho = U U* / N^2, and estimates E[tr(rho^k)] (normalized trace) to compare
 against the exact values.  One Hermitian eigendecomposition per sample
 serves every power k at once.
 
-Determinism contract: per-sample traces depend only on (seed, sample index)
-and are computed in fixed batches aligned to absolute sample indices, so
-estimates are bit-identical for every worker count; the final reduction is a
-single numpy pairwise sum over the index-ordered array.
+Determinism contract: sample i is a fixed slice of the seed's Philox stream
+(see ``sampling``), so per-sample traces depend only on (seed, sample index).
+They are computed in fixed batches aligned to absolute sample indices, each
+batch one contiguous draw from the stream, so estimates are bit-identical for
+every worker count; the final reduction is a single numpy pairwise sum over
+the index-ordered array.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import polynomials
 from .errors import InternalCheckError
-from .sampling import sample_unimodular
+from .sampling import unimodular_batch
 
 __all__ = [
     "MomentEstimate",
@@ -30,7 +32,6 @@ __all__ = [
     "estimate_moment",
     "validate_against_exact",
     "z_score",
-    "sample_unimodular",
 ]
 
 MAX_DIMENSION = 256
@@ -102,9 +103,7 @@ def _batch_traces(n: int, powers: tuple[int, ...], seed: int,
     """
     start = batch * _BATCH
     count = min(_BATCH, total - start)
-    u = np.empty((count, n, n), dtype=np.complex128)
-    for i in range(count):
-        u[i] = sample_unimodular(n, seed, start + i)
+    u = unimodular_batch(n, seed, start, count)
     rho = u @ u.conj().transpose(0, 2, 1) / n ** 2
     drift = float(np.abs(rho - rho.conj().transpose(0, 2, 1)).max())
     if drift > HERMITIAN_DRIFT_TOL:

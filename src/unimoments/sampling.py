@@ -1,42 +1,49 @@
 """Counter-based sampling of matrices with i.i.d. unit-circle entries.
 
-Every sample index gets its own Philox stream keyed by (seed, index), so a
-given (seed, index) pair produces a bit-identical matrix no matter how work
-is split across processes or in what order samples are drawn.
+Each seed keys one Philox stream, and sample i of dimension n is the slice
+[i * n^2, (i + 1) * n^2) of that stream's uniforms.  Philox is counter-based,
+so a sample's slice is reached by setting the counter, without drawing what
+comes before it: a given (seed, index) pair yields a bit-identical matrix
+however samples are batched or split across processes, and a batch of
+consecutive samples is one contiguous draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sample_unimodular", "unimodular_stream"]
+__all__ = ["sample_unimodular", "unimodular_batch"]
 
 _MASK64 = (1 << 64) - 1
+_PHILOX_BLOCK = 4  # Philox4x64 yields four 64-bit words per counter step
 
 
-def unimodular_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one (seed, sample index) pair.
+def unimodular_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
+    """Samples start .. start + count - 1 of the seed's stream, shape (count, n, n).
 
-    The 128-bit Philox key is the seed in the low word and the index in the
-    high word; distinct pairs never share a stream.  The seed must fit the
-    low word, in [0, 2^64), so that no two seeds share a stream.
+    Entries are exp(i*theta) with theta uniform on [0, 2*pi); each theta uses
+    one 64-bit word of the stream.  The seed must lie in [0, 2^64) so that no
+    two seeds share a stream.
     """
+    if n < 1:
+        raise ValueError("matrix dimension must be >= 1")
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must be in [0, 2^64)")
-    if index < 0:
+    if start < 0:
         raise ValueError("sample index must be nonnegative")
-    key = int(seed) | ((int(index) & _MASK64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if count < 0:
+        raise ValueError("sample count must be nonnegative")
+    size = n * n
+    block, skip = divmod(int(start) * size, _PHILOX_BLOCK)
+    gen = np.random.Generator(np.random.Philox(key=int(seed), counter=block))
+    angles = gen.uniform(0.0, 2.0 * np.pi, size=skip + count * size)[skip:]
+    return np.exp(1j * angles).reshape(count, n, n)
 
 
 def sample_unimodular(n: int, seed: int, index: int = 0) -> np.ndarray:
     """One n x n matrix of i.i.d. entries exp(i*theta), theta uniform on [0, 2*pi).
 
-    Deterministic in (seed, index): the same pair yields the same matrix
-    across runs and worker counts.
+    Sample ``index`` of the seed's stream: the same pair yields the same
+    matrix across runs, batchings and worker counts.
     """
-    if n < 1:
-        raise ValueError("matrix dimension must be >= 1")
-    gen = unimodular_stream(seed, index)
-    angles = gen.uniform(0.0, 2.0 * np.pi, size=(n, n))
-    return np.exp(1j * angles)
+    return unimodular_batch(n, seed, index, 1)[0]

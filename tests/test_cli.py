@@ -173,6 +173,34 @@ class TestMcCommand:
         assert first == second
 
 
+class TestStrictJson:
+    @pytest.mark.parametrize("mean, text", [(0.5, "inf"), (0.1, "-inf")])
+    def test_infinite_z_is_a_string(self, capsys, monkeypatch, mean, text):
+        # a zero standard error with a real difference scores z = +-inf
+        def degenerate(n, k, samples, seed, workers=1):
+            return montecarlo.MomentEstimate(k=k, n=n, sample_count=samples,
+                                             mean=mean, std_error=0.0, seed=seed)
+
+        monkeypatch.setattr(montecarlo, "estimate_moment", degenerate)
+        code, out = run_cli(capsys, "mc", "--n", "2", "--k", "2", "--samples", "100")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not valid JSON")
+
+        record = json.loads(out, parse_constant=reject)
+        jsonschema.validate(record, cli.OUTPUT_SCHEMAS["mc"])
+        assert record["results"]["rows"][0]["z"] == text
+
+    def test_schema_rejects_other_strings(self):
+        row = {"n": 2, "k": 2, "samples": 100, "seed": 0, "mean": 0.5,
+               "std_error": 0.0, "exact": 0.375, "z": "Infinity"}
+        record = {"schema_version": cli.SCHEMA_VERSION, "command": "mc",
+                  "parameters": {}, "results": {"rows": [row]}, "runtime_ms": 0}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(record, cli.OUTPUT_SCHEMAS["mc"])
+
+
 class TestSchemas:
     @pytest.mark.parametrize(
         "argv",

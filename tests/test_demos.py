@@ -1,4 +1,4 @@
-"""Smoke test: the demos that use the counting and traffic API run to completion."""
+"""Smoke test: every demo runs to completion."""
 
 import os
 import subprocess
@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "demo",
-    ["count_balanced_quotients", "moment_polynomials", "prediction_breakdown",
-     "traffic_states"],
+    ["count_balanced_quotients", "moment_polynomials", "monte_carlo_validation",
+     "prediction_breakdown", "traffic_states"],
 )
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -23,6 +23,7 @@ from unimoments import (
     tau_via_quotients,
     traffic_state_brute,
 )
+from unimoments import graphs
 
 R, B = Color.RED, Color.BLUE
 
@@ -244,6 +245,12 @@ class TestBruteOracles:
         b = traffic_state_brute(g, 2, 500, seed=9)
         assert a == b
         assert a != traffic_state_brute(g, 2, 500, seed=10)
+
+    def test_chunking_does_not_change_the_estimate(self, monkeypatch):
+        g = alternating_cycle(2)
+        whole = traffic_state_brute(g, 3, 50, seed=4, with_stderr=True)
+        monkeypatch.setattr(graphs, "_BRUTE_CHUNK", 7)
+        assert traffic_state_brute(g, 3, 50, seed=4, with_stderr=True) == whole
 
     def test_two_cycle_matches_quotient_sum(self):
         g = alternating_cycle(1)

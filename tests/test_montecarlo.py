@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unimoments import (
     InternalCheckError,
@@ -14,6 +16,7 @@ from unimoments import (
 )
 from unimoments import montecarlo
 from unimoments.montecarlo import z_score
+from unimoments.sampling import unimodular_batch
 
 
 class TestSampler:
@@ -39,17 +42,50 @@ class TestSampler:
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            sample_unimodular(0, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension"):
+            unimodular_batch(0, seed=1, start=0, count=1)
+        with pytest.raises(ValueError, match="index"):
+            unimodular_batch(2, seed=1, start=-1, count=1)
+        with pytest.raises(ValueError, match="count"):
+            unimodular_batch(2, seed=1, start=0, count=-1)
+        with pytest.raises(ValueError, match="index"):
             sample_unimodular(2, seed=1, index=-1)
 
     def test_seed_range(self):
         # -1 and 2^64 - 1 would share one stream if seeds wrapped mod 2^64
-        sample_unimodular(2, seed=2**64 - 1)
+        unimodular_batch(2, seed=2**64 - 1, start=0, count=1)
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed"):
+                unimodular_batch(2, seed=seed, start=0, count=1)
+            with pytest.raises(ValueError, match="seed"):
                 sample_unimodular(2, seed=seed)
+
+
+class TestStreamContract:
+    """Sample i of dimension n is the uniforms [i n^2, (i+1) n^2) of Philox(key=seed)."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 9), st.integers(0, 2**64 - 1), st.integers(0, 10**6),
+           st.integers(0, 6))
+    # odd n: a sample starts inside a four-word Philox block
+    @example(n=3, seed=0, start=1, count=5)
+    @example(n=5, seed=9, start=7, count=3)
+    @example(n=1, seed=2**64 - 1, start=3, count=6)
+    def test_batch_is_the_stack_of_samples(self, n, seed, start, count):
+        batch = unimodular_batch(n, seed, start, count)
+        assert batch.shape == (count, n, n)
+        for i in range(count):
+            assert (batch[i] == sample_unimodular(n, seed, start + i)).all()
+
+    def test_golden_seed_zero(self):
+        # derived from the raw stream alone: theta = 2 pi (raw >> 11) 2^-53
+        n, samples = 3, 3
+        raw = np.random.Philox(key=0).random_raw(samples * n * n)
+        unit = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        want = np.exp(1j * (2.0 * np.pi * unit)).reshape(samples, n, n)
+        for i in range(samples):
+            assert (sample_unimodular(n, seed=0, index=i) == want[i]).all()
+        assert (unimodular_batch(n, seed=0, start=0, count=samples) == want).all()
 
 
 class TestPerSampleTraces:
@@ -85,11 +121,13 @@ class TestEstimateMoment:
         assert a == estimate_moment(3, 2, 500, seed=12)
 
     def test_worker_count_invariance(self):
-        # 3 batches split across pools must give bit-identical results
+        # 3 batches split across pools must give bit-identical results; at
+        # n = 3 a sample is nine stream words, so samples straddle Philox blocks
         samples = montecarlo._BATCH * 2 + 100
-        a = estimate_moment(2, 3, samples, seed=7, workers=1)
-        b = estimate_moment(2, 3, samples, seed=7, workers=2)
-        assert a.mean == b.mean and a.std_error == b.std_error
+        for n in (2, 3):
+            a = estimate_moment(n, 3, samples, seed=7, workers=1)
+            b = estimate_moment(n, 3, samples, seed=7, workers=2)
+            assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_matches_exact_within_four_sigma(self):
         for n, k in ((2, 2), (3, 2), (2, 3)):
