@@ -1,7 +1,7 @@
 """Monte Carlo spot checks of the exact moment polynomials.
 
-Draws matrices with unit-circle entries, estimates E[tr(rho^k)] from the
-eigenvalues of rho = U U* / N^2, and scores each estimate against the exact
+Draws matrices with unit-circle entries, estimates E[tr(rho^k)] from traces
+of products of rho = U U* / N^2, and scores each estimate against the exact
 value.  The k = 1 case is an algebraic identity (every sample gives exactly
 1/N), so its z-score is pinned at zero.
 """

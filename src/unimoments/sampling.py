@@ -37,7 +37,12 @@ def unimodular_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
     block, skip = divmod(int(start) * size, _PHILOX_BLOCK)
     gen = np.random.Generator(np.random.Philox(key=int(seed), counter=block))
     angles = gen.uniform(0.0, 2.0 * np.pi, size=skip + count * size)[skip:]
-    return np.exp(1j * angles).reshape(count, n, n)
+    # cos and sin written straight into the output are exp(1j * angles) bit
+    # for bit, without the complex temporary 1j * angles
+    out = np.empty(count * size, dtype=np.complex128)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out.reshape(count, n, n)
 
 
 def sample_unimodular(n: int, seed: int, index: int = 0) -> np.ndarray:

@@ -105,6 +105,42 @@ class TestPerSampleTraces:
         with pytest.raises(InternalCheckError):
             montecarlo._all_traces(3, (1,), 200, seed=1, workers=1)
 
+    def test_eigenvalue_floor_guard(self, monkeypatch):
+        # every eigenvalue of rho is at most 1, so a floor of 2 must fire
+        monkeypatch.setattr(montecarlo, "EIGENVALUE_FLOOR", 2.0)
+        with pytest.raises(InternalCheckError, match="floor"):
+            montecarlo._all_traces(3, (1,), 200, seed=1, workers=1)
+
+    def test_default_floor_passes_the_scalar_case(self):
+        # n = 1: rho = 1 in every sample
+        traces = montecarlo._all_traces(1, (1, 2, 16), 200, seed=6, workers=1)
+        assert np.abs(traces - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_floor_guard_fires_exactly_below_the_smallest_eigenvalue(self, monkeypatch, above):
+        n, count, seed = 3, 40, 9
+        u = unimodular_batch(n, seed, 0, count)
+        smallest = np.linalg.eigvalsh(u @ u.conj().transpose(0, 2, 1) / n ** 2).min()
+        monkeypatch.setattr(montecarlo, "EIGENVALUE_FLOOR", smallest + (1e-9 if above else -1e-9))
+        if above:
+            with pytest.raises(InternalCheckError, match="floor"):
+                montecarlo._batch_traces(n, (1,), seed, 0, count)
+        else:
+            montecarlo._batch_traces(n, (1,), seed, 0, count)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    def test_traces_match_the_eigenvalue_oracle(self, n):
+        powers = tuple(range(1, montecarlo.MAX_POWER + 1))
+        count, seed = (8 if n == 64 else 60), 17
+        traces = montecarlo._batch_traces(n, powers, seed, 0, count)
+        u = unimodular_batch(n, seed, 0, count)
+        eigenvalues = np.linalg.eigvalsh(u @ u.conj().transpose(0, 2, 1) / n ** 2)
+        want = np.stack([(eigenvalues ** k).sum(axis=1) / n for k in powers], axis=1)
+        np.testing.assert_allclose(traces, want, rtol=1e-12, atol=0.0)
+        # a column does not depend on which other powers are asked for
+        subset = montecarlo._batch_traces(n, (16, 5, 2), seed, 0, count)
+        assert (subset == traces[:, [15, 4, 1]]).all()
+
 
 class TestEstimateMoment:
     def test_deterministic_estimand_k1(self):
