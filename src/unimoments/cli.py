@@ -174,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for mc, at most the CPU count; "
+                       help="threads for mc, at most the CPU count; "
                             "0 = all CPUs (default: MOMENTS_WORKERS or 1); "
                             "other commands accept and ignore it")
 
@@ -258,9 +258,9 @@ def _cmd_conjecture(args):
 
 def _cmd_mc(args):
     workers = _resolve_workers(args.workers)
+    exact = float(polynomials.exact_moment(args.k, args.n))  # refuse before sampling
     estimate = montecarlo.estimate_moment(args.n, args.k, args.samples,
                                           args.seed, workers=workers)
-    exact = float(polynomials.exact_moment(args.k, args.n))
     z = montecarlo.z_score(estimate.mean, estimate.std_error, exact)
     row = {"n": args.n, "k": args.k, "samples": args.samples, "seed": args.seed,
            "mean": estimate.mean, "std_error": estimate.std_error,

@@ -12,13 +12,14 @@ Determinism contract: sample i is a fixed slice of the seed's Philox stream
 They are computed in fixed batches aligned to absolute sample indices, each
 batch one contiguous draw from the stream, so estimates are bit-identical for
 every worker count; the final reduction is a single numpy pairwise sum over
-the index-ordered array.
+the index-ordered array.  Batches run on a pool of threads in the calling
+process: every stage of a batch is numpy work that releases the GIL.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,8 @@ EIGENVALUE_FLOOR = -1e-10
 # estimand (e.g. k = 1), not statistical error; they score z = 0.
 DETERMINISTIC_DIFF_FLOOR = 1e-12
 
-_BATCH = 1024  # samples per fixed batch; batches are the unit of work splitting
+_BATCH = 1024  # samples at most in a batch, the unit of work splitting
+_BATCH_ENTRIES = 1 << 22  # matrix entries at most in a batch: 64 MiB as complex128
 
 
 @dataclass(frozen=True)
@@ -96,15 +98,12 @@ class ValidationReport:
 
 
 def _batch_traces(n: int, powers: tuple[int, ...], seed: int,
-                  batch: int, total: int) -> np.ndarray:
-    """Traces tr(rho^k) for every sample in one fixed batch, shape (count, len(powers)).
+                  start: int, count: int) -> np.ndarray:
+    """Traces tr(rho^k) of samples [start, start + count), shape (count, len(powers)).
 
-    Batch ``batch`` covers absolute sample indices [batch * _BATCH, ...); the
-    content depends only on (n, powers, seed, batch), never on the worker
-    layout.
+    The content depends only on (n, powers, seed) and the absolute sample
+    indices, never on the batch or worker layout.
     """
-    start = batch * _BATCH
-    count = min(_BATCH, total - start)
     u = unimodular_batch(n, seed, start, count)
     rho = u @ u.conj().transpose(0, 2, 1)
     del u  # the guards below hold two more stacks of this size
@@ -150,18 +149,23 @@ def _entrywise_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _all_traces(n: int, powers: tuple[int, ...], samples: int, seed: int,
                 workers: int) -> np.ndarray:
-    n_batches = -(-samples // _BATCH)
-    workers = min(workers, n_batches)
-    if workers <= 1:
-        parts = [_batch_traces(n, powers, seed, b, samples) for b in range(n_batches)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_batch_traces,
-                         [n] * n_batches, [powers] * n_batches, [seed] * n_batches,
-                         range(n_batches), [samples] * n_batches)
-            )
-    return np.concatenate(parts, axis=0)
+    size = max(1, min(_BATCH, _BATCH_ENTRIES // n ** 2))
+    starts = range(0, samples, size)
+    with ThreadPoolExecutor(max_workers=max(1, min(workers, len(starts)))) as pool:
+        return np.concatenate(list(pool.map(
+            lambda start: _batch_traces(n, powers, seed, start, min(size, samples - start)),
+            starts)), axis=0)
+
+
+def _check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
+                  samples: int) -> None:
+    """The bounds shared by every Monte Carlo entry point."""
+    if not all(1 <= n <= MAX_DIMENSION for n in dimensions):
+        raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}")
+    if not powers or not all(1 <= k <= MAX_POWER for k in powers):
+        raise ValueError(f"power must be in 1..{MAX_POWER}")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -182,12 +186,7 @@ def z_score(mean: float, std_error: float, exact: float) -> float:
 def estimate_moment(n: int, k: int, samples: int, seed: int,
                     workers: int = 1) -> MomentEstimate:
     """Estimate E[tr(rho^k)] at dimension n from ``samples`` independent matrices."""
-    if not 1 <= n <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}")
-    if not 1 <= k <= MAX_POWER:
-        raise ValueError(f"power must be in 1..{MAX_POWER}")
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
+    _check_inputs((n,), (k,), samples)
     values = _all_traces(n, (k,), samples, seed, workers)[:, 0]
     mean, stderr = _mean_and_stderr(values)
     return MomentEstimate(k=k, n=n, sample_count=samples, mean=mean,
@@ -202,17 +201,16 @@ def validate_against_exact(k_max: int, n_list, samples: int, seed: int,
     products of rho serves the whole k-sweep).  The report passes when at
     least 95% of pairs sit within |z| <= 4 and none exceeds |z| = 6.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be a positive integer")
+    n_list = tuple(n_list)
     powers = tuple(range(1, k_max + 1))
+    _check_inputs(n_list, powers, samples)
+    # every exact value first, so that a missing row stops the sweep before sampling
+    exact = [[float(polynomials.exact_moment(k, n)) for k in powers] for n in n_list]
     entries: list[ValidationEntry] = []
-    for n in n_list:
+    for n, row in zip(n_list, exact):
         traces = _all_traces(n, powers, samples, seed, workers)
-        for col, k in enumerate(powers):
-            mean, stderr = _mean_and_stderr(traces[:, col])
-            exact = float(polynomials.exact_moment(k, n))
-            entries.append(
-                ValidationEntry(k=k, n=n, mean=mean, std_error=stderr,
-                                exact=exact, z=z_score(mean, stderr, exact))
-            )
+        for k, value, column in zip(powers, row, traces.T):
+            mean, stderr = _mean_and_stderr(column)
+            entries.append(ValidationEntry(k=k, n=n, mean=mean, std_error=stderr,
+                                           exact=value, z=z_score(mean, stderr, value)))
     return ValidationReport(entries=tuple(entries), sample_count=samples, seed=seed)

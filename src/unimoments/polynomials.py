@@ -190,18 +190,18 @@ def _computed_row(k: int) -> tuple[int, ...]:
     return tuple(counting.count_ddcg_partitions(k))
 
 
-def ftable_row(k: int, allow_reference: bool = True) -> tuple[int, ...]:
+def ftable_row(k: int) -> tuple[int, ...]:
     """Row of exact counts for 2k: computed for small k, reference data beyond.
 
     Rows with k <= FAST_COMPUTE_MAX_K are searched on demand and cached.
-    Larger rows come from the shipped reference table when ``allow_reference``
-    is set; otherwise the request is refused as out of computing scale.
+    Larger rows come from the shipped reference table; beyond it the request
+    is refused as out of computing scale.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if k <= FAST_COMPUTE_MAX_K:
         return _computed_row(k)
-    if allow_reference and 2 * k in tables.REFERENCE_COUNTS:
+    if 2 * k in tables.REFERENCE_COUNTS:
         return tables.REFERENCE_COUNTS[2 * k]
     raise ScaleLimitError(
         f"no reference row for 2k={2 * k} and k > {FAST_COMPUTE_MAX_K} is "

@@ -4,7 +4,7 @@ Each seed keys one Philox stream, and sample i of dimension n is the slice
 [i * n^2, (i + 1) * n^2) of that stream's uniforms.  Philox is counter-based,
 so a sample's slice is reached by setting the counter, without drawing what
 comes before it: a given (seed, index) pair yields a bit-identical matrix
-however samples are batched or split across processes, and a batch of
+however samples are batched or split across threads, and a batch of
 consecutive samples is one contiguous draw.
 """
 

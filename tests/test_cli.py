@@ -247,6 +247,13 @@ class TestExitCodes:
         argv = ["mc", "--n", "2", "--k", "2", "--samples", "100", "--seed", seed]
         assert cli.main(argv) == 2
 
+    def test_missing_exact_row_refused_before_sampling(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sampler was called")
+
+        monkeypatch.setattr(montecarlo, "unimodular_batch", refuse)
+        assert cli.main(["mc", "--n", "64", "--k", "12", "--samples", "2048"]) == 3
+
     def test_internal_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(montecarlo, "HERMITIAN_DRIFT_TOL", -1.0)
         assert cli.main(["mc", "--n", "2", "--k", "1", "--samples", "100"]) == 4
@@ -257,7 +264,7 @@ MC_ARGS = ("mc", "--n", "2", "--k", "2", "--seed", "3")
 
 @pytest.fixture
 def pool_widths(monkeypatch):
-    """Four CPUs and an in-process pool that records each requested width."""
+    """Four CPUs and a serial pool that records each requested width."""
     widths = []
 
     class RecordingPool:
@@ -274,7 +281,7 @@ def pool_widths(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
     return widths
 
 
@@ -300,13 +307,13 @@ class TestWorkers:
     def test_pool_no_wider_than_batches(self, capsys, pool_widths):
         run_json(capsys, *MC_ARGS, "--samples", "1500", "--workers", "4")  # 2 batches
         run_json(capsys, *MC_ARGS, "--samples", "1000", "--workers", "4")  # 1 batch
-        assert pool_widths == [2]
+        assert pool_widths == [2, 1]
 
     def test_multiworker_payload_matches(self, capsys, pool_widths):
         one = run_json(capsys, *MC_ARGS, "--samples", "3000", "--workers", "1")
         two = run_json(capsys, *MC_ARGS, "--samples", "3000", "--workers", "2")
         assert one["results"] == two["results"]
-        assert pool_widths == [2]
+        assert pool_widths == [1, 2]
 
     def test_count_accepts_and_ignores_workers(self, capsys):
         record = run_json(capsys, "count", "--k", "2", "--workers", "2")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from unimoments import (
     InternalCheckError,
+    ScaleLimitError,
     estimate_moment,
     exact_moment,
     sample_unimodular,
@@ -142,6 +143,63 @@ class TestPerSampleTraces:
         assert (subset == traces[:, [15, 4, 1]]).all()
 
 
+def record_batches(monkeypatch, compute=True):
+    """Replace _batch_traces by a local (unpicklable) wrapper; returns its calls."""
+    calls = []
+    original = montecarlo._batch_traces
+
+    def counting(n, powers, seed, start, count):
+        calls.append((start, count))
+        if compute:
+            return original(n, powers, seed, start, count)
+        return np.zeros((count, len(powers)))
+
+    monkeypatch.setattr(montecarlo, "_batch_traces", counting)
+    return calls
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sampler was called")
+
+    monkeypatch.setattr(montecarlo, "unimodular_batch", refuse)
+
+
+class TestBatchLayout:
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_small_batches_are_bit_identical(self, monkeypatch, n, workers):
+        powers, samples, seed = (1, 2, 5), 300, 21
+        want = montecarlo._all_traces(n, powers, samples, seed, workers=1)
+        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 37 * n * n)  # 37 samples a batch
+        calls = record_batches(monkeypatch)
+        got = montecarlo._all_traces(n, powers, samples, seed, workers=workers)
+        assert len(calls) == 9
+        assert (got == want).all()
+
+    def test_every_batch_runs_on_two_workers(self, monkeypatch):
+        samples = montecarlo._BATCH * 2 + 100
+        want = montecarlo._all_traces(3, (3,), samples, seed=7, workers=1)
+        calls = record_batches(monkeypatch)
+        got = montecarlo._all_traces(3, (3,), samples, seed=7, workers=2)
+        assert sorted(calls) == [(0, 1024), (1024, 1024), (2048, 100)]
+        assert (got == want).all()
+
+    @pytest.mark.parametrize("n, size", [(1, 1024), (64, 1024), (65, 992), (128, 256), (256, 64)])
+    def test_batches_are_bounded_by_entries(self, monkeypatch, n, size):
+        calls = record_batches(monkeypatch, compute=False)
+        traces = montecarlo._all_traces(n, (2,), 2 * size + 5, seed=0, workers=2)
+        assert sorted(calls) == [(0, size), (size, size), (2 * size, 5)]
+        assert traces.shape == (2 * size + 5, 1)
+
+    def test_one_sample_per_batch_at_least(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 1)
+        calls = record_batches(monkeypatch, compute=False)
+        montecarlo._all_traces(4, (2,), 3, seed=0, workers=1)
+        assert calls == [(0, 1), (1, 1), (2, 1)]
+
+
 class TestEstimateMoment:
     def test_deterministic_estimand_k1(self):
         est = estimate_moment(5, 1, 200, seed=0)
@@ -217,3 +275,18 @@ class TestValidateAgainstExact:
     def test_invalid_k_max(self):
         with pytest.raises(ValueError):
             validate_against_exact(0, [2], 400, seed=1)
+
+    @pytest.mark.parametrize("k_max, n_list, samples, match", [
+        (2, [2], 1, "samples"),
+        (2, [2], 0, "samples"),
+        (2, [2, 300], 400, "dimension"),
+        (2, [0], 400, "dimension"),
+        (17, [2], 400, "power"),
+    ])
+    def test_shares_the_input_guard(self, no_sampling, k_max, n_list, samples, match):
+        with pytest.raises(ValueError, match=match):
+            validate_against_exact(k_max, n_list, samples, seed=1)
+
+    def test_missing_exact_row_refused_before_sampling(self, no_sampling):
+        with pytest.raises(ScaleLimitError):
+            validate_against_exact(12, [2], 400, seed=1)

@@ -205,8 +205,6 @@ class TestFtableRow:
 
     def test_large_k_uses_reference(self):
         assert ftable_row(11) == REFERENCE_COUNTS[22]
-        with pytest.raises(ScaleLimitError):
-            ftable_row(11, allow_reference=False)
 
     def test_beyond_reference_refused(self):
         with pytest.raises(ScaleLimitError):
