@@ -1,8 +1,9 @@
 """Count the cycle partitions with balanced quotients, row by row.
 
 For each k the balanced-quotient engine places the 2k cycle vertices one at
-a time, merging prefixes that reach the same block/imbalance state, and
-buckets the balanced partitions by block count.  The three closed-form
+a time, row indices (odd vertices) and column indices (even vertices) in
+blocks of their own, merging prefixes that reach the same block/imbalance
+state, and buckets the balanced partitions by block count.  The three closed-form
 columns (j = 1, 2, k+1) come out as 1, a central binomial minus one, and a
 Catalan number; everything in between has no known formula.
 """

@@ -19,7 +19,7 @@ for k in range(1, 7):
     print(f"  actual:    {actual}")
 
 print()
-print("all mismatches through k = 8 (larger k resolved from reference data):")
+print("all mismatches through k = 8:")
 for k, j, predicted, actual in find_disproof(8):
     print(f"  k = {k}, j = {j}: predicted {predicted}, actual {actual} "
           f"(short by {actual - predicted})")

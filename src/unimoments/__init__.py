@@ -9,11 +9,7 @@ polynomials, evaluates the Borel-triangle closed form that predicts the
 same counts only up to k = 5, and validates everything by Monte Carlo.
 """
 
-from .counting import (
-    bell_number,
-    count_brute,
-    count_ddcg_partitions,
-)
+from .counting import count_brute, count_ddcg_partitions
 from .errors import InternalCheckError, ScaleLimitError
 from .graphs import (
     Color,
@@ -68,7 +64,6 @@ __all__ = [
     "traffic_state_brute",
     "tau_via_quotients",
     "iter_partitions",
-    "bell_number",
     "count_ddcg_partitions",
     "count_brute",
     "MomentPolynomial",

@@ -29,7 +29,7 @@ from .errors import InternalCheckError, ScaleLimitError
 
 __all__ = ["main", "OUTPUT_SCHEMAS", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 JSON_SAFE_INT = 1 << 53
 
 EXIT_OK = 0
@@ -92,15 +92,13 @@ OUTPUT_SCHEMAS: dict[str, dict] = {
                 "type": "array",
                 "items": {
                     "type": "object",
-                    "required": ["two_k", "j", "conjectured", "actual", "match",
-                                 "actual_source"],
+                    "required": ["two_k", "j", "conjectured", "actual", "match"],
                     "properties": {
                         "two_k": {"type": "integer"},
                         "j": {"type": "integer"},
                         "conjectured": _INT_OR_STRING,
                         "actual": _INT_OR_STRING,
                         "match": {"type": "boolean"},
-                        "actual_source": {"enum": ["computed", "reference"]},
                     },
                 },
             },
@@ -241,10 +239,8 @@ def _cmd_conjecture(args):
     for k in range(1, args.k_max + 1):
         actual = polynomials.ftable_row(k)
         predicted = polynomials.conjectured_ftable(k)
-        source = "computed" if k <= polynomials.FAST_COMPUTE_MAX_K else "reference"
         rows.extend(
-            {"two_k": 2 * k, "j": j, "conjectured": p, "actual": a,
-             "match": p == a, "actual_source": source}
+            {"two_k": 2 * k, "j": j, "conjectured": p, "actual": a, "match": p == a}
             for j, (p, a) in enumerate(zip(predicted, actual), start=1)
         )
     disproofs = [
@@ -253,7 +249,7 @@ def _cmd_conjecture(args):
     ]
     parameters = {"k_max": args.k_max}
     return parameters, {"rows": rows, "disproofs": disproofs}, \
-        ["two_k", "j", "conjectured", "actual", "match", "actual_source"]
+        ["two_k", "j", "conjectured", "actual", "match"]
 
 
 def _cmd_mc(args):

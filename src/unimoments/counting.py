@@ -7,11 +7,12 @@ N^(2k+1) times the k-th mean spectral moment of the squared ensemble.
 
 The counts come from the balanced-quotient engine,
 ``graphs.balanced_quotient_counts``, applied to the alternating 2k-cycle:
-a layered state dynamic program that places the cycle's vertices in order
-and prunes exactly on the imbalance mass, the edge parity and the block cap
-k + 1.  ``count_brute`` is the independent oracle: it walks the full
-partition lattice through the graph-core quotient and balance predicate.
-Counts are exact Python integers.
+a layered state dynamic program that places the cycle's vertices in order,
+keeps its row indices (odd vertices) and column indices (even vertices) in
+separate blocks, and prunes exactly on the imbalance mass, the edge parity
+and the block cap k + 1.  ``count_brute`` is the independent oracle: it
+walks the full partition lattice through the graph-core quotient and
+balance predicate.  Counts are exact Python integers.
 """
 
 from __future__ import annotations
@@ -22,25 +23,11 @@ from .errors import InternalCheckError, ScaleLimitError
 __all__ = [
     "count_ddcg_partitions",
     "count_brute",
-    "bell_number",
     "BRUTE_MAX_K",
 ]
 
 # Bell(12) ~ 4.2e6 partitions is the most the lattice-walking oracle will do.
 BRUTE_MAX_K = 6
-
-
-def bell_number(n: int) -> int:
-    """Number of set partitions of an n-set, by the Bell-triangle recurrence."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
 
 
 def count_ddcg_partitions(k: int) -> list[int]:

@@ -53,10 +53,11 @@ BRUTE_MAX_VERTICES = 6
 # Samples drawn from the stream at once by the brute-force evaluators.
 _BRUTE_CHUNK = 1024
 
-# The most states one layer of balanced_quotient_counts may hold.  Cycle
-# states measured about 140 bytes each (a 67-byte key, a count and a dict
-# slot) at 2k = 22, whose widest layer has 465k states.  Two layers are alive
-# at once, so a layer at the cap and the one built from it stay under 1 GiB.
+# The most states one layer of balanced_quotient_counts may hold.  Two
+# layers are alive at once.  The 2k-cycle at 2k = 32, the deepest row the
+# Monte Carlo powers need, has a widest layer of 808,035 states, and its
+# count peaked at 288 MiB RSS; so a layer at the cap and the one built from
+# it stay under 1 GiB.
 MAX_LAYER_STATES = 2_000_000
 
 
@@ -124,32 +125,6 @@ class SetPartition:
         for i, b in enumerate(self.rgs):
             out[b].append(i)
         return out
-
-    @classmethod
-    def from_blocks(cls, blocks, n: int | None = None) -> "SetPartition":
-        """Build a partition from an iterable of blocks, renumbering canonically."""
-        assignment: dict[int, int] = {}
-        for b, block in enumerate(blocks):
-            for x in block:
-                if x in assignment:
-                    raise ValueError(f"element {x} appears in two blocks")
-                assignment[x] = b
-        if n is None:
-            n = len(assignment)
-        if sorted(assignment) != list(range(n)):
-            raise ValueError(f"blocks do not partition range({n})")
-        relabel: dict[int, int] = {}
-        rgs = []
-        for i in range(n):
-            b = assignment[i]
-            if b not in relabel:
-                relabel[b] = len(relabel)
-            rgs.append(relabel[b])
-        return cls(tuple(rgs))
-
-    @classmethod
-    def singletons(cls, n: int) -> "SetPartition":
-        return cls(tuple(range(n)))
 
 
 def _iter_rgs(n: int):
@@ -261,23 +236,52 @@ def _component_count(g: ColoredDigraph) -> int:
     return components
 
 
+def _vertex_classes(g: ColoredDigraph) -> list[int]:
+    """Class 0 for the row indices of ``g`` and 1 for its column indices.
+
+    A red edge stands for U[head, tail] and a blue one for conj U[tail, head],
+    so a red head or a blue tail is a row, and a red tail or a blue head a
+    column.  When some vertex is both (a word with U U in it, or a loop),
+    every vertex is in class 0; isolated vertices are always in class 0.
+    """
+    classes: list[int | None] = [None] * g.vertex_count
+    for tail, head, color in g.edges:
+        row, column = (head, tail) if color is Color.RED else (tail, head)
+        for v, c in ((row, 0), (column, 1)):
+            if classes[v] not in (None, c):
+                return [0] * g.vertex_count
+            classes[v] = c
+    return [c or 0 for c in classes]
+
+
 def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
     """Entry j is the number of partitions into j blocks whose quotient of ``g`` is balanced.
 
     The list has ``g.vertex_count + 1`` entries; entry 0 is 1 only for the
     empty graph, whose one (empty) partition has no blocks.
 
+    Every edge pairs a row index with a column index (``_vertex_classes``),
+    and merging a row block with a column block changes no balance.  So the
+    vertices are split into classes, and blocks never mix classes: the
+    search counts G(a, b), the balanced pairs of a row partition with a
+    blocks and a column partition with b blocks, and turns them into counts
+    by block count with (N)_a (N)_b = sum_t C(a, t) C(b, t) t! (N)_(a+b-t),
+    t being the number of row blocks merged with a column block.  A graph
+    with a vertex in both roles keeps one class, and b = 0.
+
     A forward dynamic program over the vertices in index order assigns each
-    vertex a block and applies every edge when its later endpoint is placed.
-    After vertex v, a vertex is *active* if it has an edge to a vertex not
-    yet placed, and the *ledger* holds, for each ordered block pair (u, w),
-    red edges u -> w minus blue edges w -> u among the edges placed so far.
-    The completions of a prefix depend only on its state: the block count m,
-    the blocks of the active vertices, and the ledger.  A layer maps each
-    state to the number of prefixes that reach it.  Blocks are relabelled by
-    first appearance (active vertices first, then ledger entries), and the
-    blocks neither active nor in the ledger are interchangeable, so a new
-    vertex joins any one of them through a single state of weight m - r.
+    vertex a block of its class and applies every edge when its later
+    endpoint is placed.  After vertex v, a vertex is *active* if it has an
+    edge to a vertex not yet placed, and the *ledger* holds, for each
+    (column block u, row block w), red edges u -> w minus blue edges w -> u
+    among the edges placed so far.  The completions of a prefix depend only
+    on its state: the block count of each class, the blocks of the active
+    vertices, and the ledger.  A layer maps each state to the number of
+    prefixes that reach it.  Blocks are relabelled by first appearance within
+    their class (active vertices first, then ledger entries), and the blocks
+    of class c neither active nor in the ledger are interchangeable, so a new
+    vertex of class c joins any one of them through a single state of weight
+    m_c - r_c.
 
     Three prunes are exact, so the counts are too:
 
@@ -287,7 +291,9 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
       placed so far, so nothing balances when the edge count is odd;
     * block cap: a balanced quotient pairs its edges red/blue across at most
       E/2 block pairs and has no more components than ``g``, so it has at
-      most (components of g) + E/2 blocks; for the 2k-cycle that is k + 1.
+      most (components of g) + E/2 blocks.  Keeping the classes apart is a
+      balanced quotient too, so the cap bounds a + b; for the 2k-cycle it is
+      k + 1.
 
     Raises ScaleLimitError when a layer outgrows MAX_LAYER_STATES.
     """
@@ -296,6 +302,8 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
     if edge_count % 2:
         return counts
     block_cap = _component_count(g) + edge_count // 2
+    classes = _vertex_classes(g)
+    column = max(classes, default=0)  # the class of a ledger entry's first block
     last_neighbour = list(range(vertex_count))
     placed_with: list[list[tuple[int, int, int]]] = [[] for _ in range(vertex_count)]
     for tail, head, color in g.edges:
@@ -304,10 +312,12 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
         last_neighbour[head] = max(last_neighbour[head], later)
         # red u -> w adds 1 to pair (u, w); blue w -> u takes 1 from the same pair
         placed_with[later].append((tail, head, 1) if color is Color.RED else (head, tail, -1))
-    # A key is [m, active blocks..., (u, w, balance + E) per ledger entry],
-    # every item in 0..max(V, 2E): one byte each whenever that fits.
+    # A key is [m_0, m_1, r_0, r_1, active blocks..., (u, w, balance + E) per
+    # ledger entry], with r_c the number of blocks of class c that are active
+    # or in the ledger.  Every item is in 0..max(V, 2E): one byte each
+    # whenever that fits.
     code = "B" if max(vertex_count, 2 * edge_count) < 256 else "I"
-    layer = {array(code, [0]).tobytes(): 1}
+    layer = {array(code, [0, 0, 0, 0]).tobytes(): 1}
     active: list[int] = []
     remaining = edge_count
     for v in range(vertex_count):
@@ -315,45 +325,53 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
         slot[v] = len(active)
         edges = [(slot[x], slot[y], delta) for x, y, delta in placed_with[v]]
         remaining -= len(edges)
+        slot_classes = [classes[u] for u in slot]
         active = [u for u in active + [v] if last_neighbour[u] > v]
         keep = [slot[u] for u in active]
-        layer = _next_layer(layer, code, len(slot) - 1, edges, keep, remaining,
+        layer = _next_layer(layer, code, slot_classes, column, edges, keep, remaining,
                             edge_count, block_cap)
-    for key, ways in layer.items():
-        counts[array(code, key)[0]] += ways  # the ledger is empty: l1 <= 0 edges left
+    for key, ways in layer.items():  # the ledger is empty: l1 <= 0 edges left
+        a, b = array(code, key)[:2]
+        for t in range(min(a, b) + 1):
+            counts[a + b - t] += ways * math.comb(a, t) * math.comb(b, t) * math.factorial(t)
     return counts
 
 
-def _next_layer(layer: dict, code: str, width: int, edges, keep, remaining: int,
-                offset: int, block_cap: int) -> dict:
+def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, edges, keep,
+                remaining: int, offset: int, block_cap: int) -> dict:
     """Place one vertex in every state of ``layer``; see balanced_quotient_counts.
 
-    ``width`` is the number of active blocks in a key of ``layer``; in
-    ``edges`` and ``keep`` index ``width`` is the new vertex and smaller
-    indices are the active vertices in order.
+    ``slot_classes`` holds the class of each active vertex of a key of
+    ``layer``, in order, then that of the new vertex; in ``edges`` and
+    ``keep`` a slot indexes that list.  A ledger entry's first block has
+    class ``column`` and its second class 0.
     """
+    width = len(slot_classes) - 1
+    new_class = slot_classes[width]
+    keep_classes = [(x, slot_classes[x]) for x in keep]
     unset = offset * 2 + width + 2  # above every block label
     nxt: dict[bytes, int] = {}
     for key, ways in layer.items():
         items = array(code, key)
-        m = items[0]
-        labels = list(items[1:width + 1])
+        m_0, m_1 = items[0], items[1]
+        m_c, r = items[new_class], items[2 + new_class]
+        labels = list(items[4:width + 4])
         ledger = {}
         l1 = 0
-        r = max(labels) + 1 if labels else 0
-        for i in range(width + 1, len(items), 3):
+        for i in range(width + 4, len(items), 3):
             u, w, balance = items[i], items[i + 1], items[i + 2] - offset
             ledger[u, w] = balance
             l1 += abs(balance)
-            r = max(r, u + 1, w + 1)
-        # join a block that is active or in the ledger, one of the m - r
-        # untouched blocks, or a new block; labels 0..r-1 are the first kind
-        choices = [(c, m, 1) for c in range(r)]
-        if m > r:
-            choices.append((r, m, m - r))
-        if m < block_cap:
-            choices.append((r, m + 1, 1))
-        for c, m2, weight in choices:
+        # join one of the r_c touched blocks of the new vertex's class, one of
+        # its m_c - r_c untouched blocks, or a new block; labels 0..r_c-1 are
+        # the first kind
+        same = (m_0, m_1)
+        choices = [(c, same, 1) for c in range(r)]
+        if m_c > r:
+            choices.append((r, same, m_c - r))
+        if m_0 + m_1 < block_cap:
+            choices.append((r, (m_0 + 1, m_1) if new_class == 0 else (m_0, m_1 + 1), 1))
+        for c, blocks_per_class, weight in choices:
             blocks = labels + [c]
             child = dict(ledger)
             child_l1 = l1
@@ -368,26 +386,29 @@ def _next_layer(layer: dict, code: str, width: int, edges, keep, remaining: int,
                     del child[pair]
             if child_l1 > remaining:
                 continue
-            relabel: dict[int, int] = {}
-            out = [m2]
-            for x in keep:
-                out.append(relabel.setdefault(blocks[x], len(relabel)))
+            relabel: tuple[dict[int, int], dict[int, int]] = ({}, {})
+            rows, columns = relabel[0], relabel[column]
+            out = [*blocks_per_class, 0, 0]
+            for x, cls in keep_classes:
+                fresh = relabel[cls]
+                out.append(fresh.setdefault(blocks[x], len(fresh)))
             triples = []
             loose = []
             for (u, w), balance in child.items():
-                a, b = relabel.get(u, unset), relabel.get(w, unset)
+                a, b = columns.get(u, unset), rows.get(w, unset)
                 if a == unset or b == unset:
                     loose.append((a, b, balance, u, w))
                 else:
                     triples.append((a, b, balance + offset))
             loose.sort()
             for _, _, balance, u, w in loose:
-                a = relabel.setdefault(u, len(relabel))
-                b = relabel.setdefault(w, len(relabel))
+                a = columns.setdefault(u, len(columns))
+                b = rows.setdefault(w, len(rows))
                 triples.append((a, b, balance + offset))
             triples.sort()
             for triple in triples:
                 out.extend(triple)
+            out[2], out[3] = len(relabel[0]), len(relabel[1])
             child_key = array(code, out).tobytes()
             nxt[child_key] = nxt.get(child_key, 0) + ways * weight
         if len(nxt) > MAX_LAYER_STATES:

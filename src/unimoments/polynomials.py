@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import counting, tables
-from .errors import InternalCheckError, ScaleLimitError
+from . import counting
+from .errors import InternalCheckError
 
 __all__ = [
     "falling_factorial",
@@ -38,11 +38,6 @@ __all__ = [
     "ftable_row",
     "find_disproof",
 ]
-
-# Rows up to this k are computed on demand (seconds); larger k falls back to
-# the shipped reference table.
-FAST_COMPUTE_MAX_K = 6
-
 
 def falling_factorial(n: int, j: int) -> int:
     """Pochhammer symbol (n)_j = n (n-1) ... (n-j+1); zero once j > n."""
@@ -186,27 +181,13 @@ def conjectured_moment(k: int, n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _computed_row(k: int) -> tuple[int, ...]:
-    return tuple(counting.count_ddcg_partitions(k))
-
-
 def ftable_row(k: int) -> tuple[int, ...]:
-    """Row of exact counts for 2k: computed for small k, reference data beyond.
+    """Row [F(2k, 1), ..., F(2k, k+1)] of exact counts, computed once per k.
 
-    Rows with k <= FAST_COMPUTE_MAX_K are searched on demand and cached.
-    Larger rows come from the shipped reference table; beyond it the request
-    is refused as out of computing scale.
+    Raises ScaleLimitError when the engine's layers would outgrow
+    ``graphs.MAX_LAYER_STATES``.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if k <= FAST_COMPUTE_MAX_K:
-        return _computed_row(k)
-    if 2 * k in tables.REFERENCE_COUNTS:
-        return tables.REFERENCE_COUNTS[2 * k]
-    raise ScaleLimitError(
-        f"no reference row for 2k={2 * k} and k > {FAST_COMPUTE_MAX_K} is "
-        "past the on-demand computing ceiling"
-    )
+    return tuple(counting.count_ddcg_partitions(k))
 
 
 def exact_moment(k: int, n: int) -> Fraction:
@@ -214,18 +195,16 @@ def exact_moment(k: int, n: int) -> Fraction:
     return moment_polynomial(k, ftable_row(k)).moment(n)
 
 
-def find_disproof(k_max: int, rows=None) -> list[tuple[int, int, int, int]]:
+def find_disproof(k_max: int) -> list[tuple[int, int, int, int]]:
     """All (k, j, conjectured, actual) with conjectured != actual for k <= k_max.
 
-    ``rows`` may map k to a row of actual counts; by default rows resolve via
-    ``ftable_row`` (computed where cheap, shipped reference data beyond).
     Empty for k_max <= 5; the first entries appear at k = 6.
     """
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
     mismatches = []
     for k in range(1, k_max + 1):
-        actual = rows[k] if rows is not None else ftable_row(k)
+        actual = ftable_row(k)
         predicted = conjectured_ftable(k)
         for j in range(1, k + 2):
             if predicted[j - 1] != actual[j - 1]:

@@ -1,9 +1,12 @@
 """Reference tables of balanced-quotient counts and their Borel-triangle prediction.
 
+These are golden data: no module of the package computes from them, since
+every row is computed (``polynomials.ftable_row``).  The tests and the
+benchmark in ``perfbench/`` check their results against them.
+
 ``REFERENCE_COUNTS`` holds the exact values of F(2k, j), j = 1..k+1, for
-2k = 2..22.  The test suite recomputes every column through 2k = 20 with
-the balanced-quotient engine (see ``counting``); 2k = 22 is recomputable
-too, in about a minute, but is not part of the test suite.
+2k = 2..22.  The test suite recomputes every column with the
+balanced-quotient engine (see ``counting``), in under a second for 2k = 22.
 
 ``CONJECTURED_COUNTS`` holds, for the same range, the closed-form prediction
 obtained from the Borel triangle.  It matches the exact counts for k <= 5

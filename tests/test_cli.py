@@ -142,9 +142,7 @@ class TestConjectureCommand:
             for d in record["results"]["disproofs"]
         }
         assert disproofs[(8, 3)] == (559130, 566234)
-        sources = {r["two_k"]: r["actual_source"] for r in record["results"]["rows"]}
-        assert sources[12] == "computed"
-        assert sources[16] == "reference"
+        assert all("actual_source" not in r for r in record["results"]["rows"])
 
 
 class TestMcCommand:
@@ -235,7 +233,7 @@ class TestExitCodes:
     def test_scale_refusal_for_brute(self, capsys):
         assert cli.main(["count", "--k", "7", "--brute"]) == 3
 
-    def test_scale_refusal_beyond_reference(self, capsys):
+    def test_scale_refusal_beyond_reference(self, capsys, tiny_layer_guard):
         assert cli.main(["poly", "--k", "12"]) == 3
 
     def test_scale_refusal_for_layer_guard(self, capsys, monkeypatch):
@@ -247,12 +245,20 @@ class TestExitCodes:
         argv = ["mc", "--n", "2", "--k", "2", "--samples", "100", "--seed", seed]
         assert cli.main(argv) == 2
 
-    def test_missing_exact_row_refused_before_sampling(self, capsys, monkeypatch):
+    def test_missing_exact_row_refused_before_sampling(self, capsys, monkeypatch,
+                                                       tiny_layer_guard):
         def refuse(*args):
             raise AssertionError("the sampler was called")
 
         monkeypatch.setattr(montecarlo, "unimodular_batch", refuse)
         assert cli.main(["mc", "--n", "64", "--k", "12", "--samples", "2048"]) == 3
+
+    def test_first_computed_only_rows_succeed(self, capsys):
+        record = run_json(capsys, "poly", "--k", "12")
+        pochhammer = [int(r["coefficient"]) for r in record["results"]["rows"]
+                      if r["basis"] == "pochhammer"]
+        assert pochhammer[:3] == [1, 2704155, 1682760352]
+        assert cli.main(["mc", "--n", "4", "--k", "12", "--samples", "2000"]) == 0
 
     def test_internal_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(montecarlo, "HERMITIAN_DRIFT_TOL", -1.0)

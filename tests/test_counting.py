@@ -7,9 +7,9 @@ import pytest
 from unimoments import (
     ScaleLimitError,
     alternating_cycle,
-    bell_number,
     count_brute,
     count_ddcg_partitions,
+    ftable_row,
     is_ddcg,
     iter_partitions,
     quotient,
@@ -25,14 +25,17 @@ KNOWN_ROWS = {
     5: [1, 251, 1520, 1665, 510, 42],
 }
 
+# 2k = 24, the first row past the reference table
+ROW_24 = [1, 2704155, 1682760352, 45893092377, 251500233133, 477017639031,
+          402718296656, 172857596256, 40475420513, 5314016235, 385479182,
+          14263680, 208012]
 
-class TestBellNumber:
-    def test_known_values(self):
-        assert [bell_number(n) for n in range(9)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bell_number(-1)
+def one_class_row(monkeypatch, k):
+    """The row with every vertex in one class, so that rows and columns may share a block."""
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_vertex_classes", lambda g: [0] * g.vertex_count)
+        return count_ddcg_partitions(k)
 
 
 class TestCountRows:
@@ -62,12 +65,26 @@ class TestCountRows:
             count_brute(counting.BRUTE_MAX_K + 1)
 
     def test_layer_guard(self, monkeypatch):
-        # the k = 5 cycle needs 87 states in its widest layer
-        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 86)
-        with pytest.raises(ScaleLimitError, match="86 states"):
+        # the k = 5 cycle needs 20 states in its widest layer (87 in one class)
+        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 19)
+        with pytest.raises(ScaleLimitError, match="19 states"):
             count_ddcg_partitions(5)
-        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 87)
+        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 20)
         assert count_ddcg_partitions(5) == KNOWN_ROWS[5]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_one_class_oracle(self, monkeypatch, k):
+        assert one_class_row(monkeypatch, k) == count_ddcg_partitions(k)
+
+    def test_first_row_past_the_reference_table(self):
+        assert list(ftable_row(12)) == ROW_24
+
+    @pytest.mark.parametrize("k", [12, 13])
+    def test_closed_form_columns_past_the_reference_table(self, k):
+        row = ftable_row(k)  # the cached rows, computed by count_ddcg_partitions
+        assert row[0] == 1
+        assert row[1] == math.comb(2 * k, k) - 1
+        assert row[k] == math.comb(2 * k, k) // (k + 1)
 
 
 class TestInternalConsistency:

@@ -14,18 +14,19 @@ from unimoments import (
     SetPartition,
     alternating_cycle,
     balanced_quotient_counts,
-    bell_number,
     injective_traffic_brute,
     injective_traffic_value,
     is_ddcg,
     iter_partitions,
     quotient,
+    stirling2,
     tau_via_quotients,
     traffic_state_brute,
 )
 from unimoments import graphs
 
 R, B = Color.RED, Color.BLUE
+BELL = [1, 1, 2, 5, 15, 52, 203]
 
 
 @st.composite
@@ -41,6 +42,26 @@ def colored_digraphs(draw, max_vertices=5, max_edges=8, min_vertices=1):
         for _ in range(m)
     )
     return ColoredDigraph(v, edges)
+
+
+@st.composite
+def role_consistent_digraphs(draw, max_vertices=7, max_edges=8):
+    """Graphs whose every vertex is a row index or a column index, never both.
+
+    A role is drawn for each vertex first, then only edges that fit the
+    roles: red column -> row (U[row, column]) and blue row -> column
+    (conj U[row, column]).  Vertices no edge reaches stay isolated.
+    """
+    v = draw(st.integers(0, max_vertices))
+    is_row = draw(st.lists(st.booleans(), min_size=v, max_size=v))
+    rows = [x for x in range(v) if is_row[x]]
+    columns = [x for x in range(v) if not is_row[x]]
+    m = draw(st.integers(0, max_edges if rows and columns else 0))
+    edges = []
+    for _ in range(m):
+        row, column = draw(st.sampled_from(rows)), draw(st.sampled_from(columns))
+        edges.append((column, row, R) if draw(st.booleans()) else (row, column, B))
+    return ColoredDigraph(v, tuple(edges))
 
 
 @st.composite
@@ -66,18 +87,10 @@ class TestSetPartition:
         assert p.blocks() == [[0, 2], [1], [3]]
         assert p.size == 4
 
-    def test_from_blocks_canonical(self):
-        p = SetPartition.from_blocks([[1], [0, 2], [3]])
-        assert p.rgs == (0, 1, 0, 2)
-        with pytest.raises(ValueError):
-            SetPartition.from_blocks([[0, 1], [1, 2]])
-        with pytest.raises(ValueError):
-            SetPartition.from_blocks([[0], [2]])
-
     @pytest.mark.parametrize("n", range(7))
     def test_iter_partitions_hits_bell(self, n):
         parts = list(iter_partitions(n))
-        assert len(parts) == bell_number(n)
+        assert len(parts) == BELL[n]
         assert len({p.rgs for p in parts}) == len(parts)
 
 
@@ -113,7 +126,7 @@ class TestQuotient:
 
     def test_singleton_partition_is_identity(self):
         g = alternating_cycle(3)
-        assert quotient(g, SetPartition.singletons(6)) == g
+        assert quotient(g, SetPartition(tuple(range(6)))) == g
 
     def test_full_merge_gives_loops(self):
         g = quotient(alternating_cycle(1), SetPartition((0, 0)))
@@ -223,14 +236,29 @@ class TestBalancedQuotientCounts:
     @example(ColoredDigraph(0, ()))
     @example(ColoredDigraph(3, ((0, 0, R), (2, 2, B), (0, 2, R), (2, 0, B))))
     @example(ColoredDigraph(4, ((1, 2, R), (1, 2, R), (2, 1, B), (2, 1, B))))
+    @example(ColoredDigraph(2, ((0, 1, R), (0, 1, B))))  # sided only if a color's roles flip
     def test_matches_partition_lattice(self, g):
         assert balanced_quotient_counts(g) == lattice_counts(g)
+
+    @settings(deadline=None, max_examples=200)
+    @given(role_consistent_digraphs())
+    @example(ColoredDigraph(0, ()))
+    @example(ColoredDigraph(5, ((1, 0, R), (1, 0, R), (0, 1, B), (0, 1, B), (3, 2, R),
+                                (2, 3, B))))  # parallel edges and an isolated vertex
+    def test_rows_and_columns_match_partition_lattice(self, g):
+        assert balanced_quotient_counts(g) == lattice_counts(g)
+
+    def test_vertex_classes(self):
+        assert graphs._vertex_classes(alternating_cycle(2)) == [1, 0, 1, 0]
+        assert graphs._vertex_classes(ColoredDigraph(3, ((0, 1, R), (0, 1, B)))) == [0, 0, 0]
+        assert graphs._vertex_classes(ColoredDigraph(3, ((0, 1, R),))) == [1, 0, 0]
 
     def test_states_wider_than_a_byte(self):
         # 2E >= 256 or V >= 256 moves the packed state items to 4 bytes
         pairs = ColoredDigraph(2, ((0, 1, R),) * 64 + ((1, 0, B),) * 64)
         assert balanced_quotient_counts(pairs) == [0, 1, 1]
-        assert sum(balanced_quotient_counts(ColoredDigraph(256, ()))) == bell_number(256)
+        bell_256 = sum(stirling2(256, j) for j in range(257))
+        assert sum(balanced_quotient_counts(ColoredDigraph(256, ()))) == bell_256
 
 
 class TestBruteOracles:

@@ -287,6 +287,13 @@ class TestValidateAgainstExact:
         with pytest.raises(ValueError, match=match):
             validate_against_exact(k_max, n_list, samples, seed=1)
 
-    def test_missing_exact_row_refused_before_sampling(self, no_sampling):
+    def test_missing_exact_row_refused_before_sampling(self, no_sampling, tiny_layer_guard):
         with pytest.raises(ScaleLimitError):
             validate_against_exact(12, [2], 400, seed=1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_first_computed_only_row(self, n):
+        # 2k = 24 is the first row that no reference table holds
+        estimate = estimate_moment(n, 12, 20000, seed=3)
+        exact = float(exact_moment(12, n))
+        assert abs(z_score(estimate.mean, estimate.std_error, exact)) <= 4.0

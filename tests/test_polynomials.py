@@ -12,7 +12,6 @@ from unimoments import (
     CONJECTURED_COUNTS,
     REFERENCE_COUNTS,
     ScaleLimitError,
-    bell_number,
     borel_entry,
     conjectured_ftable,
     conjectured_moment,
@@ -26,7 +25,9 @@ from unimoments import (
     pochhammer_to_monomial,
     stirling2,
 )
+from unimoments import polynomials
 
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
 int_vectors = st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=16)
 
 
@@ -39,7 +40,7 @@ class TestStirlingAndSymmetric:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_rows_sum_to_bell(self, n):
-        assert sum(stirling2(n, j) for j in range(1, n + 1)) == bell_number(n)
+        assert sum(stirling2(n, j) for j in range(1, n + 1)) == BELL[n]
 
     def test_boundary_columns(self):
         for n in range(1, 12):
@@ -193,9 +194,10 @@ class TestFindDisproof:
         assert (7, 3, 78428, 78806) in mismatches
         assert (7, 4, 248339, 249137) in mismatches
 
-    def test_explicit_rows_override(self):
+    def test_explicit_rows_override(self, monkeypatch):
         rows = {1: (1, 1), 2: (1, 5, 3)}  # deliberately wrong F(4, 3)
-        assert find_disproof(2, rows=rows) == [(2, 3, 2, 3)]
+        monkeypatch.setattr(polynomials, "ftable_row", rows.__getitem__)
+        assert find_disproof(2) == [(2, 3, 2, 3)]
 
 
 class TestFtableRow:
@@ -204,11 +206,16 @@ class TestFtableRow:
             assert ftable_row(k) == REFERENCE_COUNTS[2 * k]
 
     def test_large_k_uses_reference(self):
+        # the deepest reference row, computed like every other
         assert ftable_row(11) == REFERENCE_COUNTS[22]
 
-    def test_beyond_reference_refused(self):
-        with pytest.raises(ScaleLimitError):
+    def test_beyond_reference_refused(self, tiny_layer_guard):
+        with pytest.raises(ScaleLimitError, match="10 states"):
             ftable_row(12)
+
+    def test_invalid_k(self):
+        with pytest.raises(ValueError):
+            ftable_row(0)
 
 
 class TestExactMoment:
