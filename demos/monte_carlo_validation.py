@@ -21,7 +21,7 @@ print(f"  z         = {(estimate.mean - exact) / estimate.std_error:+.2f}")
 print()
 print("sweep over (N, k) with shared samples per dimension:")
 started = time.perf_counter()
-report = validate_against_exact(5, [2, 3, 4], 50_000, seed=7, workers=2)
+report = validate_against_exact(5, [2, 3, 4], 50_000, seed=7)
 print(f"  {len(report.entries)} pairs in {time.perf_counter() - started:.1f}s")
 print(f"  within 4 sigma: {report.fraction_within_4:.0%}   "
       f"max |z| = {report.max_abs_z:.2f}   passed = {report.passed}")

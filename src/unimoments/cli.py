@@ -20,7 +20,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 
@@ -29,7 +28,7 @@ from .errors import InternalCheckError, ScaleLimitError
 
 __all__ = ["main", "OUTPUT_SCHEMAS", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 JSON_SAFE_INT = 1 << 53
 
 EXIT_OK = 0
@@ -151,16 +150,6 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _resolve_workers(requested: int | None) -> int:
-    """Worker count for ``mc``: 0 means every CPU, and no request gets more."""
-    if requested is None:
-        requested = int(os.environ.get("MOMENTS_WORKERS", "1"))
-    if requested < 0:
-        raise ValueError("--workers must be >= 0")
-    cpus = os.cpu_count() or 1
-    return min(requested, cpus) if requested else cpus
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unimoments",
@@ -172,9 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--workers", type=int, default=None,
-                       help="threads for mc, at most the CPU count; "
-                            "0 = all CPUs (default: MOMENTS_WORKERS or 1); "
-                            "other commands accept and ignore it")
+                       help="at most this many threads for mc, which picks its own "
+                            "count from --n; other commands accept and ignore it")
 
     p_count = sub.add_parser("count", help="balanced-quotient counts F(2k, j)")
     group = p_count.add_mutually_exclusive_group(required=True)
@@ -253,16 +241,14 @@ def _cmd_conjecture(args):
 
 
 def _cmd_mc(args):
-    workers = _resolve_workers(args.workers)
     exact = float(polynomials.exact_moment(args.k, args.n))  # refuse before sampling
     estimate = montecarlo.estimate_moment(args.n, args.k, args.samples,
-                                          args.seed, workers=workers)
+                                          args.seed, workers=args.workers)
     z = montecarlo.z_score(estimate.mean, estimate.std_error, exact)
     row = {"n": args.n, "k": args.k, "samples": args.samples, "seed": args.seed,
            "mean": estimate.mean, "std_error": estimate.std_error,
            "exact": exact, "z": z}
-    parameters = {"n": args.n, "k": args.k, "samples": args.samples,
-                  "seed": args.seed, "workers": workers}
+    parameters = {"n": args.n, "k": args.k, "samples": args.samples, "seed": args.seed}
     return parameters, {"rows": [row]}, list(row)
 
 

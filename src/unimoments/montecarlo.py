@@ -11,21 +11,23 @@ Determinism contract: sample i is a fixed slice of the seed's Philox stream
 (see ``sampling``), so per-sample traces depend only on (seed, sample index).
 They are computed in fixed batches aligned to absolute sample indices, each
 batch one contiguous draw from the stream, so estimates are bit-identical for
-every worker count; the final reduction is a single numpy pairwise sum over
+every thread count; the final reduction is a single numpy pairwise sum over
 the index-ordered array.  Batches run on a pool of threads in the calling
-process: every stage of a batch is numpy work that releases the GIL.
+process: every stage of a batch is numpy work that releases the GIL.  Outside
+``THREADED_DIMENSIONS`` the pool is one thread; inside, one per CPU and batch.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import polynomials
-from .errors import InternalCheckError
+from .errors import InternalCheckError, ScaleLimitError
 from .sampling import unimodular_batch
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
 MAX_DIMENSION = 256
 MAX_POWER = 16
 MIN_SAMPLES = 100
+MAX_TRACES = 1 << 24  # samples x powers held: 128 MiB as float64, twice that in the join
 
 HERMITIAN_DRIFT_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-10
@@ -49,6 +52,12 @@ DETERMINISTIC_DIFF_FLOOR = 1e-12
 
 _BATCH = 1024  # samples at most in a batch, the unit of work splitting
 _BATCH_ENTRIES = 1 << 22  # matrix entries at most in a batch: 64 MiB as complex128
+# Dimensions whose batches run on more than one thread.  On a 2-core host
+# (estimate_moment, 1 thread against 2) a second thread costs 7-10% at N = 2, 3,
+# where a batch is too little numpy work, and saves 16-17% at N = 4 and 60.  From
+# N = 64 OpenBLAS already spreads each product over the cores: 2 threads are 2-8%
+# slower at N = 64 and 96, and hold one more batch each.
+THREADED_DIMENSIONS = range(4, 64)
 
 
 @dataclass(frozen=True)
@@ -80,17 +89,16 @@ class ValidationReport:
     entries: tuple[ValidationEntry, ...]
     sample_count: int
     seed: int
-    max_abs_z: float = field(init=False)
-    fraction_within_4: float = field(init=False)
 
-    def __post_init__(self):
-        zs = [abs(e.z) for e in self.entries]
-        object.__setattr__(self, "max_abs_z", max(zs) if zs else 0.0)
-        object.__setattr__(
-            self,
-            "fraction_within_4",
-            (sum(1 for z in zs if z <= 4.0) / len(zs)) if zs else 1.0,
-        )
+    @property
+    def max_abs_z(self) -> float:
+        return max((abs(e.z) for e in self.entries), default=0.0)
+
+    @property
+    def fraction_within_4(self) -> float:
+        if not self.entries:
+            return 1.0
+        return sum(abs(e.z) <= 4.0 for e in self.entries) / len(self.entries)
 
     @property
     def passed(self) -> bool:
@@ -148,17 +156,19 @@ def _entrywise_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _all_traces(n: int, powers: tuple[int, ...], samples: int, seed: int,
-                workers: int) -> np.ndarray:
+                workers: int | None) -> np.ndarray:
     size = max(1, min(_BATCH, _BATCH_ENTRIES // n ** 2))
     starts = range(0, samples, size)
-    with ThreadPoolExecutor(max_workers=max(1, min(workers, len(starts)))) as pool:
+    cpus = os.cpu_count() or 1
+    width = min(workers or cpus, cpus, len(starts)) if n in THREADED_DIMENSIONS else 1
+    with ThreadPoolExecutor(max_workers=width) as pool:
         return np.concatenate(list(pool.map(
             lambda start: _batch_traces(n, powers, seed, start, min(size, samples - start)),
             starts)), axis=0)
 
 
 def _check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
-                  samples: int) -> None:
+                  samples: int, workers: int | None) -> None:
     """The bounds shared by every Monte Carlo entry point."""
     if not all(1 <= n <= MAX_DIMENSION for n in dimensions):
         raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}")
@@ -166,6 +176,10 @@ def _check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
         raise ValueError(f"power must be in 1..{MAX_POWER}")
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
+    if samples * len(powers) > MAX_TRACES:
+        raise ScaleLimitError(f"samples x powers must be at most {MAX_TRACES}")
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -184,9 +198,12 @@ def z_score(mean: float, std_error: float, exact: float) -> float:
 
 
 def estimate_moment(n: int, k: int, samples: int, seed: int,
-                    workers: int = 1) -> MomentEstimate:
-    """Estimate E[tr(rho^k)] at dimension n from ``samples`` independent matrices."""
-    _check_inputs((n,), (k,), samples)
+                    workers: int | None = None) -> MomentEstimate:
+    """Estimate E[tr(rho^k)] at dimension n from ``samples`` independent matrices.
+
+    ``workers``, if given, caps the sampling threads; results do not depend on it.
+    """
+    _check_inputs((n,), (k,), samples, workers)
     values = _all_traces(n, (k,), samples, seed, workers)[:, 0]
     mean, stderr = _mean_and_stderr(values)
     return MomentEstimate(k=k, n=n, sample_count=samples, mean=mean,
@@ -194,16 +211,17 @@ def estimate_moment(n: int, k: int, samples: int, seed: int,
 
 
 def validate_against_exact(k_max: int, n_list, samples: int, seed: int,
-                           workers: int = 1) -> ValidationReport:
+                           workers: int | None = None) -> ValidationReport:
     """Monte Carlo vs exact for every (k, n) with k <= k_max and n in ``n_list``.
 
     Samples are shared across powers for a fixed dimension (one chain of
     products of rho serves the whole k-sweep).  The report passes when at
     least 95% of pairs sit within |z| <= 4 and none exceeds |z| = 6.
+    ``workers`` is a cap, as in ``estimate_moment``.
     """
     n_list = tuple(n_list)
     powers = tuple(range(1, k_max + 1))
-    _check_inputs(n_list, powers, samples)
+    _check_inputs(n_list, powers, samples, workers)
     # every exact value first, so that a missing row stops the sweep before sampling
     exact = [[float(polynomials.exact_moment(k, n)) for k in powers] for n in n_list]
     entries: list[ValidationEntry] = []

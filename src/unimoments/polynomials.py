@@ -147,6 +147,11 @@ def borel_entry(k: int, j: int) -> int:
     return value
 
 
+def _conjectured_monomials(k: int) -> list[int]:
+    """Conjectured Q_k on N^1..N^(k+1): (-1)^(k-j+1) f_(k-1, k-j+1) N^j, f the Borel triangle."""
+    return [(-1) ** (k - j + 1) * borel_entry(k - 1, k - j + 1) for j in range(1, k + 2)]
+
+
 def conjectured_ftable(k: int) -> list[int]:
     """The Borel-triangle prediction for [F(2k, 1), ..., F(2k, k+1)].
 
@@ -156,27 +161,17 @@ def conjectured_ftable(k: int) -> list[int]:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return [
-        sum(
-            (-1) ** (k - r + 1) * stirling2(r, j) * borel_entry(k - 1, k - r + 1)
-            for r in range(j, k + 2)
-        )
-        for j in range(1, k + 2)
-    ]
+    return monomial_to_pochhammer(_conjectured_monomials(k))
 
 
 def conjectured_moment(k: int, n: int) -> Fraction:
-    """The conjectured k-th moment at dimension n, as an exact rational.
+    """The conjectured k-th moment Q_k(n) / n^(2k+1), as an exact rational.
 
-    N^(-2k-1) * sum_{j=2}^{k+1} (-1)^(k-j+1) f_(k-1, k-j+1) N^j with f the
-    Borel triangle.  Exact for k <= 5 only.
+    Exact for k <= 5 only.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive integers")
-    numerator = sum(
-        (-1) ** (k - j + 1) * borel_entry(k - 1, k - j + 1) * n ** j
-        for j in range(2, k + 2)
-    )
+    numerator = sum(a * n ** j for j, a in enumerate(_conjectured_monomials(k), start=1))
     return Fraction(numerator, n ** (2 * k + 1))
 
 

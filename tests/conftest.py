@@ -1,8 +1,11 @@
 """Shared fixtures."""
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from unimoments import graphs, polynomials
+from unimoments import graphs, montecarlo, polynomials
 
 
 @pytest.fixture
@@ -16,3 +19,26 @@ def tiny_layer_guard(monkeypatch):
     monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 10)
     yield
     polynomials.ftable_row.cache_clear()
+
+
+@pytest.fixture
+def pool_widths(monkeypatch):
+    """Four CPUs, and a thread pool that records each width asked of it."""
+    widths = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    return widths
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sampler was called")
+
+    monkeypatch.setattr(montecarlo, "unimodular_batch", refuse)

@@ -5,7 +5,6 @@ lines on success as well as failure.
 """
 
 import math
-import os
 import random
 import time
 from fractions import Fraction
@@ -33,7 +32,6 @@ from unimoments import (
 )
 from unimoments import graphs
 
-WORKERS = os.cpu_count() or 1
 R, B = Color.RED, Color.BLUE
 
 
@@ -152,8 +150,7 @@ def test_criterion_7_oracle_equivalence():
 
 def test_criterion_8_monte_carlo_agreement():
     started = time.perf_counter()
-    report = validate_against_exact(6, [2, 3, 4, 8], 100_000, seed=20240817,
-                                    workers=WORKERS)
+    report = validate_against_exact(6, [2, 3, 4, 8], 100_000, seed=20240817)
     elapsed = time.perf_counter() - started
     # at dimension 2 the exact moment collapses to a binomial closed form
     closed_form = all(

@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import os
 
 import jsonschema
 import pytest
@@ -175,7 +174,7 @@ class TestStrictJson:
     @pytest.mark.parametrize("mean, text", [(0.5, "inf"), (0.1, "-inf")])
     def test_infinite_z_is_a_string(self, capsys, monkeypatch, mean, text):
         # a zero standard error with a real difference scores z = +-inf
-        def degenerate(n, k, samples, seed, workers=1):
+        def degenerate(n, k, samples, seed, workers=None):
             return montecarlo.MomentEstimate(k=k, n=n, sample_count=samples,
                                              mean=mean, std_error=0.0, seed=seed)
 
@@ -245,12 +244,8 @@ class TestExitCodes:
         argv = ["mc", "--n", "2", "--k", "2", "--samples", "100", "--seed", seed]
         assert cli.main(argv) == 2
 
-    def test_missing_exact_row_refused_before_sampling(self, capsys, monkeypatch,
+    def test_missing_exact_row_refused_before_sampling(self, capsys, no_sampling,
                                                        tiny_layer_guard):
-        def refuse(*args):
-            raise AssertionError("the sampler was called")
-
-        monkeypatch.setattr(montecarlo, "unimodular_batch", refuse)
         assert cli.main(["mc", "--n", "64", "--k", "12", "--samples", "2048"]) == 3
 
     def test_first_computed_only_rows_succeed(self, capsys):
@@ -260,54 +255,21 @@ class TestExitCodes:
         assert pochhammer[:3] == [1, 2704155, 1682760352]
         assert cli.main(["mc", "--n", "4", "--k", "12", "--samples", "2000"]) == 0
 
+    def test_scale_refusal_for_samples(self, capsys, no_sampling):
+        assert cli.main(["mc", "--n", "2", "--k", "2", "--samples", "1000000000"]) == 3
+
     def test_internal_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(montecarlo, "HERMITIAN_DRIFT_TOL", -1.0)
         assert cli.main(["mc", "--n", "2", "--k", "1", "--samples", "100"]) == 4
 
 
-MC_ARGS = ("mc", "--n", "2", "--k", "2", "--seed", "3")
-
-
-@pytest.fixture
-def pool_widths(monkeypatch):
-    """Four CPUs and a serial pool that records each requested width."""
-    widths = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            widths.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-    return widths
+MC_ARGS = ("mc", "--n", "4", "--k", "2", "--seed", "3")
 
 
 class TestWorkers:
-    def test_env_default(self, capsys, monkeypatch, pool_widths):
-        monkeypatch.setenv("MOMENTS_WORKERS", "2")
-        record = run_json(capsys, *MC_ARGS, "--samples", "3000")
-        assert record["parameters"]["workers"] == 2
-        assert pool_widths == [2]
-
-    def test_zero_means_auto(self, capsys, pool_widths):
-        record = run_json(capsys, *MC_ARGS, "--samples", "5000", "--workers", "0")
-        assert record["parameters"]["workers"] == 4
-        assert pool_widths == [4]
-
-    def test_request_capped_at_cpu_count(self, capsys, monkeypatch, pool_widths):
+    def test_request_capped_at_cpu_count(self, capsys, pool_widths):
         record = run_json(capsys, *MC_ARGS, "--samples", "5000", "--workers", "5000")
-        assert record["parameters"]["workers"] == 4
-        monkeypatch.setenv("MOMENTS_WORKERS", "5000")
-        assert cli._resolve_workers(None) == 4
+        assert "workers" not in record["parameters"]
         assert pool_widths == [4]
 
     def test_pool_no_wider_than_batches(self, capsys, pool_widths):
@@ -318,8 +280,25 @@ class TestWorkers:
     def test_multiworker_payload_matches(self, capsys, pool_widths):
         one = run_json(capsys, *MC_ARGS, "--samples", "3000", "--workers", "1")
         two = run_json(capsys, *MC_ARGS, "--samples", "3000", "--workers", "2")
-        assert one["results"] == two["results"]
-        assert pool_widths == [1, 2]
+        unset = run_json(capsys, *MC_ARGS, "--samples", "3000")
+        assert one["results"] == two["results"] == unset["results"]
+        assert pool_widths == [1, 2, 3]
+
+    @pytest.mark.parametrize("n, samples, workers, width", [
+        (2, 3000, ["--workers", "4"], 1),  # below the threaded dimensions
+        (64, 1100, ["--workers", "4"], 1),  # BLAS already spreads each product
+        (8, 5000, [], 4),  # one thread per CPU ...
+        (8, 2000, [], 2),  # ... and per batch
+        (8, 3000, ["--workers", "1"], 1),
+    ])
+    def test_width_follows_the_dimension(self, capsys, pool_widths, n, samples, workers, width):
+        run_json(capsys, "mc", "--n", str(n), "--k", "2", "--samples", str(samples), *workers)
+        assert pool_widths == [width]
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_fewer_than_one_worker_is_a_usage_error(self, capsys, pool_widths, workers):
+        assert cli.main([*MC_ARGS, "--samples", "1000", "--workers", workers]) == 2
+        assert pool_widths == []
 
     def test_count_accepts_and_ignores_workers(self, capsys):
         record = run_json(capsys, "count", "--k", "2", "--workers", "2")

@@ -158,18 +158,11 @@ def record_batches(monkeypatch, compute=True):
     return calls
 
 
-@pytest.fixture
-def no_sampling(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the sampler was called")
-
-    monkeypatch.setattr(montecarlo, "unimodular_batch", refuse)
-
-
 class TestBatchLayout:
-    @pytest.mark.parametrize("n", [3, 8, 64])
+    # 3 and 64 lie outside the threaded dimensions, so they run one thread whatever is asked
+    @pytest.mark.parametrize("n", [3, 5, 8, 64])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_small_batches_are_bit_identical(self, monkeypatch, n, workers):
+    def test_small_batches_are_bit_identical(self, monkeypatch, pool_widths, n, workers):
         powers, samples, seed = (1, 2, 5), 300, 21
         want = montecarlo._all_traces(n, powers, samples, seed, workers=1)
         monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 37 * n * n)  # 37 samples a batch
@@ -177,14 +170,17 @@ class TestBatchLayout:
         got = montecarlo._all_traces(n, powers, samples, seed, workers=workers)
         assert len(calls) == 9
         assert (got == want).all()
+        assert pool_widths[-1] == (workers if n in montecarlo.THREADED_DIMENSIONS else 1)
 
-    def test_every_batch_runs_on_two_workers(self, monkeypatch):
+    def test_every_batch_runs_on_two_workers(self, monkeypatch, pool_widths):
+        # at n = 5 a sample is 25 stream words, so samples straddle Philox blocks
         samples = montecarlo._BATCH * 2 + 100
-        want = montecarlo._all_traces(3, (3,), samples, seed=7, workers=1)
+        want = montecarlo._all_traces(5, (3,), samples, seed=7, workers=1)
         calls = record_batches(monkeypatch)
-        got = montecarlo._all_traces(3, (3,), samples, seed=7, workers=2)
+        got = montecarlo._all_traces(5, (3,), samples, seed=7, workers=2)
         assert sorted(calls) == [(0, 1024), (1024, 1024), (2048, 100)]
         assert (got == want).all()
+        assert pool_widths == [1, 2]
 
     @pytest.mark.parametrize("n, size", [(1, 1024), (64, 1024), (65, 992), (128, 256), (256, 64)])
     def test_batches_are_bounded_by_entries(self, monkeypatch, n, size):
@@ -214,14 +210,16 @@ class TestEstimateMoment:
         a = estimate_moment(3, 2, 500, seed=12)
         assert a == estimate_moment(3, 2, 500, seed=12)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, pool_widths):
         # 3 batches split across pools must give bit-identical results; at
-        # n = 3 a sample is nine stream words, so samples straddle Philox blocks
+        # n = 5 a sample is 25 stream words, so samples straddle Philox blocks
         samples = montecarlo._BATCH * 2 + 100
-        for n in (2, 3):
+        for n in (4, 5):
             a = estimate_moment(n, 3, samples, seed=7, workers=1)
             b = estimate_moment(n, 3, samples, seed=7, workers=2)
-            assert a.mean == b.mean and a.std_error == b.std_error
+            c = estimate_moment(n, 3, samples, seed=7)
+            assert a == b == c
+        assert pool_widths == [1, 2, 3] * 2
 
     def test_matches_exact_within_four_sigma(self):
         for n, k in ((2, 2), (3, 2), (2, 3)):
@@ -242,6 +240,9 @@ class TestEstimateMoment:
             estimate_moment(2, 17, 200, seed=0)
         with pytest.raises(ValueError):
             estimate_moment(2, 2, 99, seed=0)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                estimate_moment(4, 2, 200, seed=0, workers=workers)
 
 
 class TestZScore:
@@ -290,6 +291,21 @@ class TestValidateAgainstExact:
     def test_missing_exact_row_refused_before_sampling(self, no_sampling, tiny_layer_guard):
         with pytest.raises(ScaleLimitError):
             validate_against_exact(12, [2], 400, seed=1)
+
+    def test_fewer_than_one_worker_refused(self, no_sampling):
+        with pytest.raises(ValueError, match="workers"):
+            validate_against_exact(2, [4], 400, seed=1, workers=0)
+
+    def test_held_traces_are_bounded_before_sampling(self, no_sampling):
+        bound = montecarlo.MAX_TRACES
+        with pytest.raises(ScaleLimitError):
+            estimate_moment(2, 2, bound + 1, seed=0)
+        with pytest.raises(ScaleLimitError):
+            validate_against_exact(6, [2, 3, 4, 8], bound // 6 + 1, seed=0)
+        # the bound itself, the CLI's default and the benchmark's sweep pass
+        montecarlo._check_inputs((2,), (2,), bound, None)
+        montecarlo._check_inputs((2,), (2,), 100_000, None)
+        montecarlo._check_inputs((2, 3, 4, 8), tuple(range(1, 7)), 20_000, None)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_first_computed_only_row(self, n):
