@@ -36,11 +36,47 @@ EXIT_USAGE = 2
 EXIT_SCALE = 3
 EXIT_INTERNAL = 4
 
+_INTEGER = {"type": "integer"}
 _INT_OR_STRING = {"type": ["integer", "string"]}
-_NUMBER_OR_INFINITY = {"anyOf": [{"type": "number"}, {"enum": ["inf", "-inf"]}]}
+_NUMBER = {"type": "number"}
+_NUMBER_OR_INFINITY = {"anyOf": [_NUMBER, {"enum": ["inf", "-inf"]}]}
+
+# The arrays in each command's results, each a map from its fields, in CSV
+# column order, to their JSON types.  The "rows" array is the CSV projection.
+_COLUMNS: dict[str, dict[str, dict]] = {
+    "count": {
+        "rows": {"two_k": _INTEGER, "j": _INTEGER, "count": _INT_OR_STRING},
+    },
+    "poly": {
+        "rows": {"k": _INTEGER, "basis": {"enum": ["pochhammer", "monomial"]},
+                 "j": _INTEGER, "coefficient": _INT_OR_STRING},
+    },
+    "conjecture": {
+        "rows": {"two_k": _INTEGER, "j": _INTEGER, "conjectured": _INT_OR_STRING,
+                 "actual": _INT_OR_STRING, "match": {"type": "boolean"}},
+        "disproofs": {"k": _INTEGER, "j": _INTEGER, "conjectured": _INT_OR_STRING,
+                      "actual": _INT_OR_STRING},
+    },
+    "mc": {
+        "rows": {"n": _INTEGER, "k": _INTEGER, "samples": _INTEGER, "seed": _INTEGER,
+                 "mean": _NUMBER, "std_error": _NUMBER, "exact": _NUMBER,
+                 "z": _NUMBER_OR_INFINITY},
+    },
+}
 
 
-def _envelope_schema(results: dict) -> dict:
+def _record_schema(arrays: dict[str, dict[str, dict]]) -> dict:
+    results = {
+        "type": "object",
+        "required": list(arrays),
+        "properties": {
+            name: {
+                "type": "array",
+                "items": {"type": "object", "required": list(columns), "properties": columns},
+            }
+            for name, columns in arrays.items()
+        },
+    }
     return {
         "type": "object",
         "required": ["schema_version", "command", "parameters", "results", "runtime_ms"],
@@ -54,78 +90,8 @@ def _envelope_schema(results: dict) -> dict:
     }
 
 
-def _rows_schema(item_properties: dict) -> dict:
-    return {
-        "type": "object",
-        "required": ["rows"],
-        "properties": {
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": sorted(item_properties),
-                    "properties": item_properties,
-                },
-            }
-        },
-    }
-
-
 OUTPUT_SCHEMAS: dict[str, dict] = {
-    "count": _envelope_schema(_rows_schema({
-        "two_k": {"type": "integer"},
-        "j": {"type": "integer"},
-        "count": _INT_OR_STRING,
-    })),
-    "poly": _envelope_schema(_rows_schema({
-        "k": {"type": "integer"},
-        "basis": {"enum": ["pochhammer", "monomial"]},
-        "j": {"type": "integer"},
-        "coefficient": _INT_OR_STRING,
-    })),
-    "conjecture": _envelope_schema({
-        "type": "object",
-        "required": ["rows", "disproofs"],
-        "properties": {
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["two_k", "j", "conjectured", "actual", "match"],
-                    "properties": {
-                        "two_k": {"type": "integer"},
-                        "j": {"type": "integer"},
-                        "conjectured": _INT_OR_STRING,
-                        "actual": _INT_OR_STRING,
-                        "match": {"type": "boolean"},
-                    },
-                },
-            },
-            "disproofs": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["k", "j", "conjectured", "actual"],
-                    "properties": {
-                        "k": {"type": "integer"},
-                        "j": {"type": "integer"},
-                        "conjectured": _INT_OR_STRING,
-                        "actual": _INT_OR_STRING,
-                    },
-                },
-            },
-        },
-    }),
-    "mc": _envelope_schema(_rows_schema({
-        "n": {"type": "integer"},
-        "k": {"type": "integer"},
-        "samples": {"type": "integer"},
-        "seed": {"type": "integer"},
-        "mean": {"type": "number"},
-        "std_error": {"type": "number"},
-        "exact": {"type": "number"},
-        "z": _NUMBER_OR_INFINITY,
-    })),
+    command: _record_schema(arrays) for command, arrays in _COLUMNS.items()
 }
 
 
@@ -204,8 +170,7 @@ def _cmd_count(args):
             {"two_k": 2 * k, "j": j, "count": c}
             for j, c in enumerate(row, start=1)
         )
-    parameters = {"k": ks, "brute": args.brute}
-    return parameters, {"rows": rows}, ["two_k", "j", "count"]
+    return {"k": ks, "brute": args.brute}, {"rows": rows}
 
 
 def _cmd_poly(args):
@@ -217,31 +182,27 @@ def _cmd_poly(args):
         {"k": args.k, "basis": "monomial", "j": j, "coefficient": c}
         for j, c in enumerate(poly.monomial_coeffs, start=1)
     ]
-    return {"k": args.k}, {"rows": rows}, ["k", "basis", "j", "coefficient"]
+    return {"k": args.k}, {"rows": rows}
 
 
 def _cmd_conjecture(args):
     if args.k_max < 1:
         raise ValueError("--k-max must be >= 1")
-    rows = []
+    rows, disproofs = [], []
     for k in range(1, args.k_max + 1):
         actual = polynomials.ftable_row(k)
         predicted = polynomials.conjectured_ftable(k)
-        rows.extend(
-            {"two_k": 2 * k, "j": j, "conjectured": p, "actual": a, "match": p == a}
-            for j, (p, a) in enumerate(zip(predicted, actual), start=1)
-        )
-    disproofs = [
-        {"k": k, "j": j, "conjectured": p, "actual": a}
-        for k, j, p, a in polynomials.find_disproof(args.k_max)
-    ]
-    parameters = {"k_max": args.k_max}
-    return parameters, {"rows": rows, "disproofs": disproofs}, \
-        ["two_k", "j", "conjectured", "actual", "match"]
+        for j, (p, a) in enumerate(zip(predicted, actual), start=1):
+            rows.append({"two_k": 2 * k, "j": j, "conjectured": p, "actual": a, "match": p == a})
+            if p != a:
+                disproofs.append({"k": k, "j": j, "conjectured": p, "actual": a})
+    return {"k_max": args.k_max}, {"rows": rows, "disproofs": disproofs}
 
 
 def _cmd_mc(args):
-    exact = float(polynomials.exact_moment(args.k, args.n))  # refuse before sampling
+    # refuse bad inputs before counting the exact row, and a missing row before sampling
+    montecarlo.check_inputs((args.n,), (args.k,), args.samples, args.workers)
+    exact = float(polynomials.exact_moment(args.k, args.n))
     estimate = montecarlo.estimate_moment(args.n, args.k, args.samples,
                                           args.seed, workers=args.workers)
     z = montecarlo.z_score(estimate.mean, estimate.std_error, exact)
@@ -249,7 +210,7 @@ def _cmd_mc(args):
            "mean": estimate.mean, "std_error": estimate.std_error,
            "exact": exact, "z": z}
     parameters = {"n": args.n, "k": args.k, "samples": args.samples, "seed": args.seed}
-    return parameters, {"rows": [row]}, list(row)
+    return parameters, {"rows": [row]}
 
 
 _COMMANDS = {
@@ -277,11 +238,10 @@ def _emit_json(command, parameters, results, runtime_ms, out):
     out.write("\n")
 
 
-def _emit_csv(results, fieldnames, out):
-    writer = csv.DictWriter(out, fieldnames=fieldnames)
+def _emit_csv(command, results, out):
+    writer = csv.DictWriter(out, fieldnames=list(_COLUMNS[command]["rows"]))
     writer.writeheader()
-    for row in results["rows"]:
-        writer.writerow(row)
+    writer.writerows(results["rows"])
 
 
 def main(argv=None) -> int:
@@ -289,7 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        parameters, results, fieldnames = _COMMANDS[args.command](args)
+        parameters, results = _COMMANDS[args.command](args)
     except ScaleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCALE
@@ -301,7 +261,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     runtime_ms = int((time.perf_counter() - started) * 1000)
     if args.format == "csv":
-        _emit_csv(results, fieldnames, sys.stdout)
+        _emit_csv(args.command, results, sys.stdout)
     else:
         _emit_json(args.command, parameters, results, runtime_ms, sys.stdout)
     return EXIT_OK

@@ -9,8 +9,8 @@ The counts come from the balanced-quotient engine,
 ``graphs.balanced_quotient_counts``, applied to the alternating 2k-cycle:
 a layered state dynamic program that places the cycle's vertices in order,
 keeps its row indices (odd vertices) and column indices (even vertices) in
-separate blocks, and prunes exactly on the imbalance mass, the edge parity
-and the block cap k + 1.  ``count_brute`` is the independent oracle: it
+separate blocks, and prunes exactly on the imbalance mass and the edge
+parity.  ``count_brute`` is the independent oracle: it
 walks the full partition lattice through the graph-core quotient and
 balance predicate.  Counts are exact Python integers.
 """

@@ -217,25 +217,6 @@ def injective_traffic_value(g: ColoredDigraph, n: int) -> Fraction:
     return Fraction(math.perm(n, g.vertex_count), n)
 
 
-def _component_count(g: ColoredDigraph) -> int:
-    """Connected components of the underlying undirected graph, isolated vertices included."""
-    parent = list(range(g.vertex_count))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = g.vertex_count
-    for tail, head, _ in g.edges:
-        a, b = root(tail), root(head)
-        if a != b:
-            parent[a] = b
-            components -= 1
-    return components
-
-
 def _vertex_classes(g: ColoredDigraph) -> list[int]:
     """Class 0 for the row indices of ``g`` and 1 for its column indices.
 
@@ -283,17 +264,12 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
     vertex of class c joins any one of them through a single state of weight
     m_c - r_c.
 
-    Three prunes are exact, so the counts are too:
+    Two prunes are exact, so the counts are too:
 
     * bound: every unplaced edge moves the ledger's l1 mass by exactly 1, so
       a state whose l1 exceeds the number of unplaced edges dies;
     * parity: for the same reason l1 always has the parity of the edges
-      placed so far, so nothing balances when the edge count is odd;
-    * block cap: a balanced quotient pairs its edges red/blue across at most
-      E/2 block pairs and has no more components than ``g``, so it has at
-      most (components of g) + E/2 blocks.  Keeping the classes apart is a
-      balanced quotient too, so the cap bounds a + b; for the 2k-cycle it is
-      k + 1.
+      placed so far, so nothing balances when the edge count is odd.
 
     Raises ScaleLimitError when a layer outgrows MAX_LAYER_STATES.
     """
@@ -301,7 +277,6 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
     counts = [0] * (vertex_count + 1)
     if edge_count % 2:
         return counts
-    block_cap = _component_count(g) + edge_count // 2
     classes = _vertex_classes(g)
     column = max(classes, default=0)  # the class of a ledger entry's first block
     last_neighbour = list(range(vertex_count))
@@ -329,7 +304,7 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
         active = [u for u in active + [v] if last_neighbour[u] > v]
         keep = [slot[u] for u in active]
         layer = _next_layer(layer, code, slot_classes, column, edges, keep, remaining,
-                            edge_count, block_cap)
+                            edge_count)
     for key, ways in layer.items():  # the ledger is empty: l1 <= 0 edges left
         a, b = array(code, key)[:2]
         for t in range(min(a, b) + 1):
@@ -338,7 +313,7 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
 
 
 def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, edges, keep,
-                remaining: int, offset: int, block_cap: int) -> dict:
+                remaining: int, offset: int) -> dict:
     """Place one vertex in every state of ``layer``; see balanced_quotient_counts.
 
     ``slot_classes`` holds the class of each active vertex of a key of
@@ -369,8 +344,7 @@ def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, ed
         choices = [(c, same, 1) for c in range(r)]
         if m_c > r:
             choices.append((r, same, m_c - r))
-        if m_0 + m_1 < block_cap:
-            choices.append((r, (m_0 + 1, m_1) if new_class == 0 else (m_0, m_1 + 1), 1))
+        choices.append((r, (m_0 + 1, m_1) if new_class == 0 else (m_0, m_1 + 1), 1))
         for c, blocks_per_class, weight in choices:
             blocks = labels + [c]
             child = dict(ledger)

@@ -34,6 +34,7 @@ __all__ = [
     "MomentEstimate",
     "ValidationEntry",
     "ValidationReport",
+    "check_inputs",
     "estimate_moment",
     "validate_against_exact",
     "z_score",
@@ -167,9 +168,9 @@ def _all_traces(n: int, powers: tuple[int, ...], samples: int, seed: int,
             starts)), axis=0)
 
 
-def _check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
-                  samples: int, workers: int | None) -> None:
-    """The bounds shared by every Monte Carlo entry point."""
+def check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
+                 samples: int, workers: int | None) -> None:
+    """The bounds shared by every Monte Carlo entry point, and by the CLI before it counts."""
     if not all(1 <= n <= MAX_DIMENSION for n in dimensions):
         raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}")
     if not powers or not all(1 <= k <= MAX_POWER for k in powers):
@@ -203,7 +204,7 @@ def estimate_moment(n: int, k: int, samples: int, seed: int,
 
     ``workers``, if given, caps the sampling threads; results do not depend on it.
     """
-    _check_inputs((n,), (k,), samples, workers)
+    check_inputs((n,), (k,), samples, workers)
     values = _all_traces(n, (k,), samples, seed, workers)[:, 0]
     mean, stderr = _mean_and_stderr(values)
     return MomentEstimate(k=k, n=n, sample_count=samples, mean=mean,
@@ -221,7 +222,7 @@ def validate_against_exact(k_max: int, n_list, samples: int, seed: int,
     """
     n_list = tuple(n_list)
     powers = tuple(range(1, k_max + 1))
-    _check_inputs(n_list, powers, samples, workers)
+    check_inputs(n_list, powers, samples, workers)
     # every exact value first, so that a missing row stops the sweep before sampling
     exact = [[float(polynomials.exact_moment(k, n)) for k in powers] for n in n_list]
     entries: list[ValidationEntry] = []

@@ -42,3 +42,16 @@ def no_sampling(monkeypatch):
         raise AssertionError("the sampler was called")
 
     monkeypatch.setattr(montecarlo, "unimodular_batch", refuse)
+
+
+@pytest.fixture
+def one_block_too_many(monkeypatch):
+    """An engine that finds one balanced quotient of a 2k-cycle with k + 2 blocks."""
+    real = graphs.balanced_quotient_counts
+
+    def counts(g):
+        out = real(g)
+        out[g.vertex_count // 2 + 2] += 1
+        return out
+
+    monkeypatch.setattr(graphs, "balanced_quotient_counts", counts)

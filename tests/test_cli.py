@@ -7,7 +7,7 @@ import json
 import jsonschema
 import pytest
 
-from unimoments import cli, graphs, montecarlo
+from unimoments import cli, graphs, montecarlo, polynomials
 
 
 def run_cli(capsys, *argv):
@@ -198,21 +198,29 @@ class TestStrictJson:
             jsonschema.validate(record, cli.OUTPUT_SCHEMAS["mc"])
 
 
+ONE_CALL_PER_COMMAND = [
+    ("count", "--k", "2"),
+    ("poly", "--k", "3"),
+    ("conjecture", "--k-max", "6"),
+    ("mc", "--n", "2", "--k", "1", "--samples", "100"),
+]
+
+
 class TestSchemas:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("count", "--k", "2"),
-            ("poly", "--k", "3"),
-            ("conjecture", "--k-max", "3"),
-            ("mc", "--n", "2", "--k", "1", "--samples", "100"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", ONE_CALL_PER_COMMAND)
     def test_json_output_validates(self, capsys, argv):
         record = run_json(capsys, *argv)
         jsonschema.validate(record, cli.OUTPUT_SCHEMAS[argv[0]])
         assert record["schema_version"] == cli.SCHEMA_VERSION
         assert record["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv", ONE_CALL_PER_COMMAND)
+    def test_csv_header_is_the_json_row_keys(self, capsys, argv):
+        record = run_json(capsys, *argv)
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header = next(csv.reader(io.StringIO(out)))
+        assert all(list(row) == header for row in record["results"]["rows"])
 
 
 class TestExitCodes:
@@ -254,6 +262,23 @@ class TestExitCodes:
                       if r["basis"] == "pochhammer"]
         assert pochhammer[:3] == [1, 2704155, 1682760352]
         assert cli.main(["mc", "--n", "4", "--k", "12", "--samples", "2000"]) == 0
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--samples", "10"], 2),
+        (["--samples", "1000000000"], 3),
+        (["--workers", "0"], 2),
+        (["--k", "17"], 2),
+    ])
+    def test_mc_refuses_before_it_counts(self, capsys, monkeypatch, flags, code):
+        def refuse(g):
+            raise AssertionError("the engine was called")
+
+        polynomials.ftable_row.cache_clear()  # so that no cached row hides a count
+        monkeypatch.setattr(graphs, "balanced_quotient_counts", refuse)
+        assert cli.main(["mc", "--n", "2", "--k", "12", *flags]) == code
+
+    def test_internal_failure_in_the_engine(self, capsys, one_block_too_many):
+        assert cli.main(["count", "--k", "3"]) == 4
 
     def test_scale_refusal_for_samples(self, capsys, no_sampling):
         assert cli.main(["mc", "--n", "2", "--k", "2", "--samples", "1000000000"]) == 3

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from unimoments import (
+    InternalCheckError,
     ScaleLimitError,
     alternating_cycle,
     count_brute,
@@ -92,6 +93,10 @@ class TestInternalConsistency:
         # brute search keeps full buckets; anything past k+1 trips a check
         for k in (1, 2, 3):
             count_brute(k)  # raises InternalCheckError on violation
+
+    def test_engine_blocks_past_k_plus_one_are_refused(self, one_block_too_many):
+        with pytest.raises(InternalCheckError, match="impossible block counts"):
+            count_ddcg_partitions(3)
 
     def test_search_counts_match_bucket_sum(self):
         # total accepted leaves equal the number of balanced-quotient partitions

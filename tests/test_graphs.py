@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from unimoments import (
     Color,
+    REFERENCE_COUNTS,
     ColoredDigraph,
     ScaleLimitError,
     SetPartition,
@@ -252,6 +253,15 @@ class TestBalancedQuotientCounts:
         assert graphs._vertex_classes(alternating_cycle(2)) == [1, 0, 1, 0]
         assert graphs._vertex_classes(ColoredDigraph(3, ((0, 1, R), (0, 1, B)))) == [0, 0, 0]
         assert graphs._vertex_classes(ColoredDigraph(3, ((0, 1, R),))) == [1, 0, 0]
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_swapped_roles_give_the_reference_rows(self, k):
+        # shifting every vertex by one makes vertex 0 a row, so the classes swap
+        n = 2 * k
+        rotated = ColoredDigraph(n, tuple(((t + 1) % n, (h + 1) % n, c)
+                                          for t, h, c in alternating_cycle(k).edges))
+        assert graphs._vertex_classes(rotated)[:2] == [0, 1]
+        assert balanced_quotient_counts(rotated) == [0, *REFERENCE_COUNTS[2 * k]] + [0] * (k - 1)
 
     def test_states_wider_than_a_byte(self):
         # 2E >= 256 or V >= 256 moves the packed state items to 4 bytes

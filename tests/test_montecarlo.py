@@ -303,9 +303,9 @@ class TestValidateAgainstExact:
         with pytest.raises(ScaleLimitError):
             validate_against_exact(6, [2, 3, 4, 8], bound // 6 + 1, seed=0)
         # the bound itself, the CLI's default and the benchmark's sweep pass
-        montecarlo._check_inputs((2,), (2,), bound, None)
-        montecarlo._check_inputs((2,), (2,), 100_000, None)
-        montecarlo._check_inputs((2, 3, 4, 8), tuple(range(1, 7)), 20_000, None)
+        montecarlo.check_inputs((2,), (2,), bound, None)
+        montecarlo.check_inputs((2,), (2,), 100_000, None)
+        montecarlo.check_inputs((2, 3, 4, 8), tuple(range(1, 7)), 20_000, None)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_first_computed_only_row(self, n):
