@@ -1,8 +1,9 @@
 """Traffic states of small colored graphs, two independent ways.
 
 The exact route sums a falling factorial over every partition whose quotient
-is balanced.  The oracle route literally averages the edge-entry product
-over all vertex maps and sampled matrices.  They must agree within noise.
+is balanced.  The oracle route sums the edge-entry product over all vertex
+maps, as one tensor contraction, and averages it over sampled matrices.
+They must agree within noise.
 """
 
 from unimoments import (

@@ -14,13 +14,13 @@ contributes a falling factorial to the trace of the graph operation.  This
 module counts the balanced quotients of any colored graph exactly, bucketed
 by block count (``balanced_quotient_counts``), and evaluates traffic states
 from those counts.  The lattice path (``iter_partitions``, ``quotient``,
-``is_ddcg``) and brute-force Monte Carlo evaluators stay as independent
-oracles at small scale.
+``is_ddcg``) and brute-force Monte Carlo evaluators, which sum the edge-entry
+product of sampled matrices over every vertex map in one tensor contraction,
+stay as independent oracles at small scale.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -47,11 +47,13 @@ __all__ = [
     "iter_partitions",
 ]
 
-# Brute-force evaluators sum over N**V (or (N)_V) vertex maps per sample.
+# Brute-force evaluators sum over N**V vertex maps per sample.
 BRUTE_MAX_N = 6
 BRUTE_MAX_VERTICES = 6
-# Samples drawn from the stream at once by the brute-force evaluators.
-_BRUTE_CHUNK = 1024
+# Samples x N**max(V, 2) at most in one brute-force contraction.  Its arrays hold
+# the sample index and at most max(V, 2) vertex indices, so at the ceiling
+# (V = N = 6) chunks of 11 samples keep each within 8 MiB.
+_BRUTE_BUDGET = 1 << 19
 
 # The most states one layer of balanced_quotient_counts may hold.  Two
 # layers are alive at once.  The 2k-cycle at 2k = 32, the deepest row the
@@ -400,72 +402,69 @@ def tau_via_quotients(g: ColoredDigraph, n: int) -> Fraction:
     return Fraction(sum(c * math.perm(n, j) for j, c in enumerate(counts)), n)
 
 
-def _check_brute_scale(g: ColoredDigraph, n: int):
+def _check_brute_scale(g: ColoredDigraph, n: int, samples: int):
     if n > BRUTE_MAX_N or g.vertex_count > BRUTE_MAX_VERTICES:
-        raise ScaleLimitError(
-            f"brute-force evaluator limited to N <= {BRUTE_MAX_N} and "
-            f"<= {BRUTE_MAX_VERTICES} vertices (got N={n}, V={g.vertex_count})"
-        )
+        raise ScaleLimitError(f"brute-force evaluator limited to N <= {BRUTE_MAX_N} and <= "
+                              f"{BRUTE_MAX_VERTICES} vertices (got N={n}, V={g.vertex_count})")
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
+    if samples < 1:
+        raise ValueError(f"need at least one sample (got {samples})")
 
 
-def _edge_products(u: np.ndarray, edges, maps: np.ndarray) -> np.ndarray:
-    """Product over edges of the matrix entry each vertex map selects.
+def _brute_estimate(g: ColoredDigraph, n: int, samples: int, seed: int, injective: bool,
+                    with_stderr: bool):
+    """Mean over sampled U of the edge-entry product summed over vertex maps, over n.
 
-    ``maps`` has shape (V, M): column m is one map from vertices to indices.
-    A red edge contributes U[head, tail]; a blue edge contributes the
-    conjugate of U[tail, head] (the adjoint's (head, tail) entry).
+    The sum over maps is one einsum per chunk of samples, in which index
+    x < V is vertex x and index V the sample.  A red edge tail -> head reads
+    U[head, tail] and a blue one conj U[tail, head]; with ``injective``, a
+    factor 1 - [a == b] for each vertex pair keeps only the injective maps.
+    A vertex that no factor reads multiplies the sum by n.
     """
-    prod = np.ones(maps.shape[1], dtype=np.complex128)
-    for tail, head, color in edges:
-        if color is Color.RED:
-            prod *= u[maps[head], maps[tail]]
-        else:
-            prod *= np.conj(u[maps[tail], maps[head]])
-    return prod
+    _check_brute_scale(g, n, samples)
+    v = g.vertex_count
+    maps = math.perm(n, v) if injective else n ** v
+    values = np.full(samples, maps / n, dtype=np.complex128)  # with no edge or no map
+    if g.edges and maps:
+        pairs = [(a, b) for b in range(v) for a in range(b)] if injective else []
+        scale = n ** (v - len({x for e in g.edges for x in e[:2]}.union(*pairs))) / n
 
+        def operands(u):
+            conj, masks = u.conj(), np.ones_like(u) - np.eye(n)
+            out = [[u, [v, head, tail]] if color is Color.RED else [conj, [v, tail, head]]
+                   for tail, head, color in g.edges] + [[masks, [v, *pair]] for pair in pairs]
+            return [x for operand in out for x in operand] + [[v]]
 
-def _brute_estimate(g, n, samples, seed, maps, with_stderr):
-    values = np.empty(samples, dtype=np.complex128)
-    for start in range(0, samples, _BRUTE_CHUNK):
-        chunk = unimodular_batch(n, seed, start, min(_BRUTE_CHUNK, samples - start))
-        for s, u in enumerate(chunk, start):
-            values[s] = _edge_products(u, g.edges, maps).sum() / n
+        # Every factor carries the sample index and the path is planned for one
+        # sample, so each sample meets the same sums in every chunk; a chunk of
+        # one sample, which einsum would sum in another order, borrows the next.
+        path = np.einsum_path(*operands(np.ones((1, n, n), dtype=np.complex128)),
+                              optimize=("greedy", n ** v))[0]
+        size = max(1, _BRUTE_BUDGET // n ** max(v, 2))
+        for start in range(0, samples, size):
+            count = min(size, samples - start)
+            chunk = unimodular_batch(n, seed, start, max(count, 2))
+            values[start:start + count] = np.einsum(*operands(chunk), optimize=path)[:count] * scale
     mean = complex(values.mean())
-    if not with_stderr:
-        return mean
-    if samples < 2:
-        return mean, 0.0
-    # combined real+imaginary sample variance of the per-sample values
-    var = float((np.abs(values - values.mean()) ** 2).sum() / (samples - 1))
-    return mean, math.sqrt(var / samples)
+    # combined real+imaginary sample variance of the per-sample values (0 for one sample)
+    var = float((np.abs(values - values.mean()) ** 2).sum() / max(samples - 1, 1))
+    return (mean, math.sqrt(var / samples)) if with_stderr else mean
 
 
 def traffic_state_brute(g: ColoredDigraph, n: int, samples: int, seed: int,
                         with_stderr: bool = False):
-    """Monte Carlo estimate of the traffic state by literal summation over all vertex maps.
+    """Monte Carlo estimate of the traffic state, summing every vertex map of sampled U.
 
-    Deterministic given (seed, samples).  Exponential in the vertex count,
-    hence the small-scale guard; this is an oracle, not a production path.
-    With ``with_stderr`` returns (mean, standard error) instead of the mean.
+    Uses no quotient, so it checks ``tau_via_quotients`` independently.
+    Deterministic given (seed, samples); exponential in the vertex count,
+    hence the small-scale guard.  With ``with_stderr`` returns (mean,
+    standard error) instead of the mean.
     """
-    _check_brute_scale(g, n)
-    v = g.vertex_count
-    if v == 0:
-        maps = np.zeros((0, 1), dtype=np.intp)
-    else:
-        maps = np.indices((n,) * v).reshape(v, -1)
-    return _brute_estimate(g, n, samples, seed, maps, with_stderr)
+    return _brute_estimate(g, n, samples, seed, False, with_stderr)
 
 
 def injective_traffic_brute(g: ColoredDigraph, n: int, samples: int, seed: int,
                             with_stderr: bool = False):
-    """Monte Carlo estimate of the injective traffic state (injective vertex maps only)."""
-    _check_brute_scale(g, n)
-    v = g.vertex_count
-    perms = list(itertools.permutations(range(n), v))
-    if not perms:
-        return (0j, 0.0) if with_stderr else 0j
-    maps = np.array(perms, dtype=np.intp).T.reshape(v, -1)
-    return _brute_estimate(g, n, samples, seed, maps, with_stderr)
+    """As ``traffic_state_brute``, over injective vertex maps only: exactly 0 when n < V."""
+    return _brute_estimate(g, n, samples, seed, True, with_stderr)

@@ -169,7 +169,7 @@ def _all_traces(n: int, powers: tuple[int, ...], samples: int, seed: int,
 
 
 def check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
-                 samples: int, workers: int | None) -> None:
+                 samples: int, seed: int, workers: int | None) -> None:
     """The bounds shared by every Monte Carlo entry point, and by the CLI before it counts."""
     if not all(1 <= n <= MAX_DIMENSION for n in dimensions):
         raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}")
@@ -177,6 +177,8 @@ def check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
         raise ValueError(f"power must be in 1..{MAX_POWER}")
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must be in [0, 2^64)")
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     if samples * len(powers) > MAX_TRACES:
@@ -204,7 +206,7 @@ def estimate_moment(n: int, k: int, samples: int, seed: int,
 
     ``workers``, if given, caps the sampling threads; results do not depend on it.
     """
-    check_inputs((n,), (k,), samples, workers)
+    check_inputs((n,), (k,), samples, seed, workers)
     values = _all_traces(n, (k,), samples, seed, workers)[:, 0]
     mean, stderr = _mean_and_stderr(values)
     return MomentEstimate(k=k, n=n, sample_count=samples, mean=mean,
@@ -222,7 +224,7 @@ def validate_against_exact(k_max: int, n_list, samples: int, seed: int,
     """
     n_list = tuple(n_list)
     powers = tuple(range(1, k_max + 1))
-    check_inputs(n_list, powers, samples, workers)
+    check_inputs(n_list, powers, samples, seed, workers)
     # every exact value first, so that a missing row stops the sweep before sampling
     exact = [[float(polynomials.exact_moment(k, n)) for k in powers] for n in n_list]
     entries: list[ValidationEntry] = []

@@ -45,6 +45,16 @@ def no_sampling(monkeypatch):
 
 
 @pytest.fixture
+def no_counting(monkeypatch):
+    """An engine that refuses to count, behind an empty row cache."""
+    def refuse(g):
+        raise AssertionError("the engine was called")
+
+    polynomials.ftable_row.cache_clear()  # so that no cached row hides a count
+    monkeypatch.setattr(graphs, "balanced_quotient_counts", refuse)
+
+
+@pytest.fixture
 def one_block_too_many(monkeypatch):
     """An engine that finds one balanced quotient of a 2k-cycle with k + 2 blocks."""
     real = graphs.balanced_quotient_counts

@@ -1,8 +1,10 @@
 """Graph-core tests: quotients, the balance predicate, and traffic values."""
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from unimoments import (
     traffic_state_brute,
 )
 from unimoments import graphs
+from unimoments.sampling import unimodular_batch
 
 R, B = Color.RED, Color.BLUE
 BELL = [1, 1, 2, 5, 15, 52, 203]
@@ -285,10 +288,42 @@ class TestBruteOracles:
         assert a != traffic_state_brute(g, 2, 500, seed=10)
 
     def test_chunking_does_not_change_the_estimate(self, monkeypatch):
-        g = alternating_cycle(2)
-        whole = traffic_state_brute(g, 3, 50, seed=4, with_stderr=True)
-        monkeypatch.setattr(graphs, "_BRUTE_CHUNK", 7)
-        assert traffic_state_brute(g, 3, 50, seed=4, with_stderr=True) == whole
+        # on these two graphs with loops, a lone sample summed on its own, or
+        # masks broadcast along the samples, changed the last bits
+        loops_2 = ColoredDigraph(2, ((0, 1, R), (0, 0, B), (0, 1, B), (1, 1, R)))
+        loop_4 = ColoredDigraph(4, ((2, 1, B), (1, 2, B), (0, 0, B), (3, 2, R)))
+        cases = [
+            (traffic_state_brute, alternating_cycle(2), 3),
+            (traffic_state_brute, loops_2, 6),
+            (injective_traffic_brute, loop_4, 4),
+            (traffic_state_brute, alternating_cycle(3), 4),
+            (injective_traffic_brute, alternating_cycle(3), 6),
+        ]
+        for brute, g, n in cases:
+            whole = brute(g, n, 50, seed=4, with_stderr=True)
+            # chunks of one sample each, and of 7: 50 samples leave a lone last one
+            for chunk in (1, 7):
+                monkeypatch.setattr(graphs, "_BRUTE_BUDGET", chunk * n ** g.vertex_count)
+                assert brute(g, n, 50, seed=4, with_stderr=True) == whole
+            monkeypatch.undo()
+
+    def test_chunks_stay_within_the_budget_at_the_ceiling(self, monkeypatch):
+        counts = []
+
+        def recording(n, seed, start, count):
+            counts.append(count)
+            return unimodular_batch(n, seed, start, count)
+
+        monkeypatch.setattr(graphs, "unimodular_batch", recording)
+        for brute in (traffic_state_brute, injective_traffic_brute):
+            brute(alternating_cycle(3), 6, 30, seed=1)
+        assert counts and max(counts) * 6 ** 6 <= graphs._BRUTE_BUDGET
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_fewer_than_one_sample_refused(self, samples):
+        for brute in (traffic_state_brute, injective_traffic_brute):
+            with pytest.raises(ValueError, match="at least one sample"):
+                brute(alternating_cycle(1), 2, samples, seed=0)
 
     def test_two_cycle_matches_quotient_sum(self):
         g = alternating_cycle(1)
@@ -315,6 +350,51 @@ class TestBruteOracles:
             traffic_state_brute(alternating_cycle(4), 2, 100, seed=0)
         with pytest.raises(ScaleLimitError):
             traffic_state_brute(alternating_cycle(2), 7, 100, seed=0)
+
+
+def literal_map_sum(g, u, injective):
+    """The edge-entry product of one matrix summed over every (injective) vertex map, over n."""
+    n = u.shape[0]
+    total = 0j
+    for f in itertools.product(range(n), repeat=g.vertex_count):
+        if injective and len(set(f)) < len(f):
+            continue
+        term = 1 + 0j
+        for tail, head, color in g.edges:
+            term *= u[f[head], f[tail]] if color is R else np.conj(u[f[tail], f[head]])
+        total += term
+    return total / n
+
+
+class TestBruteContraction:
+    """The contraction of the brute-force oracles is the literal sum over vertex maps.
+
+    Every term has modulus 1, so the tolerance is 1e-12 of the sum of the
+    terms' moduli; when no map is injective that is 0, and the oracle must
+    give exactly 0.
+    """
+
+    @settings(deadline=None, max_examples=40)
+    @given(colored_digraphs(max_vertices=5, max_edges=6, min_vertices=0), st.integers(1, 4),
+           st.booleans())
+    @example(ColoredDigraph(0, ()), 2, False)
+    @example(ColoredDigraph(0, ()), 2, True)
+    @example(ColoredDigraph(3, ()), 2, False)  # edgeless
+    @example(ColoredDigraph(3, ()), 2, True)  # edgeless, no injective map
+    @example(ColoredDigraph(2, ((0, 0, R), (0, 0, B), (1, 1, R))), 3, False)  # loops
+    @example(ColoredDigraph(2, ((0, 0, R), (0, 0, B), (1, 1, R))), 3, True)
+    @example(ColoredDigraph(3, ((0, 1, R), (0, 1, R), (1, 0, B))), 3, False)  # parallel, isolated
+    @example(ColoredDigraph(4, ((1, 2, R), (2, 1, B))), 4, True)  # isolated, injective
+    @example(alternating_cycle(2), 3, True)  # N < V
+    def test_equals_the_literal_sum(self, g, n, injective):
+        brute = injective_traffic_brute if injective else traffic_state_brute
+        maps = math.perm(n, g.vertex_count) if injective else n ** g.vertex_count
+        values = [literal_map_sum(g, u, injective) for u in unimodular_batch(n, 11, 0, 3)]
+        for samples in (1, 3):
+            got = brute(g, n, samples, seed=11)
+            assert abs(got - sum(values[:samples]) / samples) <= 1e-12 * maps / n
+            if not maps:
+                assert got == 0j
 
 
 class TestBruteAgainstQuotientSum:

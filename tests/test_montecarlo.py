@@ -296,6 +296,13 @@ class TestValidateAgainstExact:
         with pytest.raises(ValueError, match="workers"):
             validate_against_exact(2, [4], 400, seed=1, workers=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_refused_before_counting(self, no_sampling, no_counting, seed):
+        with pytest.raises(ValueError, match="seed"):
+            estimate_moment(2, 12, 400, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            validate_against_exact(12, [2], 400, seed=seed)
+
     def test_held_traces_are_bounded_before_sampling(self, no_sampling):
         bound = montecarlo.MAX_TRACES
         with pytest.raises(ScaleLimitError):
@@ -303,9 +310,9 @@ class TestValidateAgainstExact:
         with pytest.raises(ScaleLimitError):
             validate_against_exact(6, [2, 3, 4, 8], bound // 6 + 1, seed=0)
         # the bound itself, the CLI's default and the benchmark's sweep pass
-        montecarlo.check_inputs((2,), (2,), bound, None)
-        montecarlo.check_inputs((2,), (2,), 100_000, None)
-        montecarlo.check_inputs((2, 3, 4, 8), tuple(range(1, 7)), 20_000, None)
+        montecarlo.check_inputs((2,), (2,), bound, 0, None)
+        montecarlo.check_inputs((2,), (2,), 100_000, 0, None)
+        montecarlo.check_inputs((2, 3, 4, 8), tuple(range(1, 7)), 20_000, 0, None)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_first_computed_only_row(self, n):
