@@ -56,11 +56,13 @@ BRUTE_MAX_VERTICES = 6
 _BRUTE_BUDGET = 1 << 19
 
 # The most states one layer of balanced_quotient_counts may hold.  Two
-# layers are alive at once.  The 2k-cycle at 2k = 32, the deepest row the
-# Monte Carlo powers need, has a widest layer of 808,035 states, and its
-# count peaked at 288 MiB RSS; so a layer at the cap and the one built from
-# it stay under 1 GiB.
-MAX_LAYER_STATES = 2_000_000
+# layers are alive at once, and each state holds its map of block counts.
+# The 2k-cycle at 2k = 32, the deepest row the Monte Carlo powers need, has
+# a widest layer of 539,744 states, and its count peaked at 422 MiB RSS.
+# At 2k = 34 the layer built from those 539,744 states outgrows the cap,
+# and the refusal comes at 613 MiB: about 400 bytes per live state.  So a
+# layer at the cap and the one built from it stay near 800 MiB, under 1 GiB.
+MAX_LAYER_STATES = 1_000_000
 
 
 class Color(Enum):
@@ -246,11 +248,25 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
     Every edge pairs a row index with a column index (``_vertex_classes``),
     and merging a row block with a column block changes no balance.  So the
     vertices are split into classes, and blocks never mix classes: the
-    search counts G(a, b), the balanced pairs of a row partition with a
-    blocks and a column partition with b blocks, and turns them into counts
-    by block count with (N)_a (N)_b = sum_t C(a, t) C(b, t) t! (N)_(a+b-t),
-    t being the number of row blocks merged with a column block.  A graph
-    with a vertex in both roles keeps one class, and b = 0.
+    search (``_block_grid``) counts G(a, b), the balanced pairs of a row
+    partition with a blocks and a column partition with b blocks, and this
+    function turns them into counts by block count with
+    (N)_a (N)_b = sum_t C(a, t) C(b, t) t! (N)_(a+b-t), t being the number
+    of row blocks merged with a column block.  A graph with a vertex in both
+    roles keeps one class, and b = 0.
+
+    Raises ScaleLimitError when a layer of the search outgrows
+    MAX_LAYER_STATES.
+    """
+    counts = [0] * (g.vertex_count + 1)
+    for (a, b), ways in _block_grid(g).items():
+        for t in range(min(a, b) + 1):
+            counts[a + b - t] += ways * math.comb(a, t) * math.comb(b, t) * math.factorial(t)
+    return counts
+
+
+def _block_grid(g: ColoredDigraph) -> dict[tuple[int, int], int]:
+    """G(a, b) of ``balanced_quotient_counts`` at each (a, b) where it is not 0.
 
     A forward dynamic program over the vertices in index order assigns each
     vertex a block of its class and applies every edge when its later
@@ -258,13 +274,19 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
     edge to a vertex not yet placed, and the *ledger* holds, for each
     (column block u, row block w), red edges u -> w minus blue edges w -> u
     among the edges placed so far.  The completions of a prefix depend only
-    on its state: the block count of each class, the blocks of the active
-    vertices, and the ledger.  A layer maps each state to the number of
-    prefixes that reach it.  Blocks are relabelled by first appearance within
-    their class (active vertices first, then ledger entries), and the blocks
-    of class c neither active nor in the ledger are interchangeable, so a new
-    vertex of class c joins any one of them through a single state of weight
-    m_c - r_c.
+    on its state: the blocks of the active vertices, the ledger, and the
+    block count of each class.  Blocks are relabelled by first appearance
+    within their class (active vertices first, then ledger entries), and r_c
+    counts the labelled blocks of class c.  A layer maps each state's key,
+    which leaves out the block counts, to a map from the row and column
+    block counts (a, b) to the number of prefixes that reach it.
+
+    A new vertex of class c joins one of the r_c labelled blocks of its
+    class, which leaves the map as it is, or takes the label r_c: either one
+    of the m_c - r_c unlabelled blocks, which are interchangeable, or a new
+    block, m_c being a (class 0) or b (class 1).  Those two make one child
+    key, and for each w at (a, b) its map holds w (m_c - r_c) at (a, b) and
+    w where m_c is one more.
 
     Two prunes are exact, so the counts are too:
 
@@ -272,13 +294,10 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
       a state whose l1 exceeds the number of unplaced edges dies;
     * parity: for the same reason l1 always has the parity of the edges
       placed so far, so nothing balances when the edge count is odd.
-
-    Raises ScaleLimitError when a layer outgrows MAX_LAYER_STATES.
     """
     vertex_count, edge_count = g.vertex_count, g.edge_count
-    counts = [0] * (vertex_count + 1)
     if edge_count % 2:
-        return counts
+        return {}
     classes = _vertex_classes(g)
     column = max(classes, default=0)  # the class of a ledger entry's first block
     last_neighbour = list(range(vertex_count))
@@ -289,12 +308,10 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
         last_neighbour[head] = max(last_neighbour[head], later)
         # red u -> w adds 1 to pair (u, w); blue w -> u takes 1 from the same pair
         placed_with[later].append((tail, head, 1) if color is Color.RED else (head, tail, -1))
-    # A key is [m_0, m_1, r_0, r_1, active blocks..., (u, w, balance + E) per
-    # ledger entry], with r_c the number of blocks of class c that are active
-    # or in the ledger.  Every item is in 0..max(V, 2E): one byte each
-    # whenever that fits.
+    # A key is [r_0, r_1, active blocks..., (u, w, balance + E) per ledger
+    # entry].  Every item is in 0..max(V, 2E): one byte each whenever that fits.
     code = "B" if max(vertex_count, 2 * edge_count) < 256 else "I"
-    layer = {array(code, [0, 0, 0, 0]).tobytes(): 1}
+    layer = {array(code, [0, 0]).tobytes(): {(0, 0): 1}}
     active: list[int] = []
     remaining = edge_count
     for v in range(vertex_count):
@@ -307,16 +324,13 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
         keep = [slot[u] for u in active]
         layer = _next_layer(layer, code, slot_classes, column, edges, keep, remaining,
                             edge_count)
-    for key, ways in layer.items():  # the ledger is empty: l1 <= 0 edges left
-        a, b = array(code, key)[:2]
-        for t in range(min(a, b) + 1):
-            counts[a + b - t] += ways * math.comb(a, t) * math.comb(b, t) * math.factorial(t)
-    return counts
+    # at most the one key with no active block and an empty ledger (l1 <= 0 edges left)
+    return next(iter(layer.values()), {})
 
 
 def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, edges, keep,
                 remaining: int, offset: int) -> dict:
-    """Place one vertex in every state of ``layer``; see balanced_quotient_counts.
+    """Place one vertex in every state of ``layer``; see _block_grid.
 
     ``slot_classes`` holds the class of each active vertex of a key of
     ``layer``, in order, then that of the new vertex; in ``edges`` and
@@ -327,27 +341,20 @@ def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, ed
     new_class = slot_classes[width]
     keep_classes = [(x, slot_classes[x]) for x in keep]
     unset = offset * 2 + width + 2  # above every block label
-    nxt: dict[bytes, int] = {}
-    for key, ways in layer.items():
+    nxt: dict[bytes, dict[tuple[int, int], int]] = {}
+    for key, prefixes in layer.items():
         items = array(code, key)
-        m_0, m_1 = items[0], items[1]
-        m_c, r = items[new_class], items[2 + new_class]
-        labels = list(items[4:width + 4])
+        r = items[new_class]
+        labels = list(items[2:width + 2])
         ledger = {}
         l1 = 0
-        for i in range(width + 4, len(items), 3):
+        for i in range(width + 2, len(items), 3):
             u, w, balance = items[i], items[i + 1], items[i + 2] - offset
             ledger[u, w] = balance
             l1 += abs(balance)
-        # join one of the r_c touched blocks of the new vertex's class, one of
-        # its m_c - r_c untouched blocks, or a new block; labels 0..r_c-1 are
-        # the first kind
-        same = (m_0, m_1)
-        choices = [(c, same, 1) for c in range(r)]
-        if m_c > r:
-            choices.append((r, same, m_c - r))
-        choices.append((r, (m_0 + 1, m_1) if new_class == 0 else (m_0, m_1 + 1), 1))
-        for c, blocks_per_class, weight in choices:
+        # labels 0..r_c-1 are the labelled blocks of the new vertex's class;
+        # label r_c is an unlabelled block or a new one
+        for c in range(r + 1):
             blocks = labels + [c]
             child = dict(ledger)
             child_l1 = l1
@@ -364,7 +371,7 @@ def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, ed
                 continue
             relabel: tuple[dict[int, int], dict[int, int]] = ({}, {})
             rows, columns = relabel[0], relabel[column]
-            out = [*blocks_per_class, 0, 0]
+            out = [0, 0]
             for x, cls in keep_classes:
                 fresh = relabel[cls]
                 out.append(fresh.setdefault(blocks[x], len(fresh)))
@@ -384,9 +391,19 @@ def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, ed
             triples.sort()
             for triple in triples:
                 out.extend(triple)
-            out[2], out[3] = len(relabel[0]), len(relabel[1])
+            out[0], out[1] = len(relabel[0]), len(relabel[1])
             child_key = array(code, out).tobytes()
-            nxt[child_key] = nxt.get(child_key, 0) + ways * weight
+            merged = nxt.setdefault(child_key, {})
+            if c < r:
+                for ab, ways in prefixes.items():
+                    merged[ab] = merged.get(ab, 0) + ways
+                continue
+            for (a, b), ways in prefixes.items():
+                m = b if new_class else a
+                if m > r:
+                    merged[a, b] = merged.get((a, b), 0) + ways * (m - r)
+                grown = (a, b + 1) if new_class else (a + 1, b)
+                merged[grown] = merged.get(grown, 0) + ways
         if len(nxt) > MAX_LAYER_STATES:
             raise ScaleLimitError(
                 f"a balanced-quotient layer outgrew {MAX_LAYER_STATES} states"

@@ -171,7 +171,7 @@ def _all_traces(n: int, powers: tuple[int, ...], samples: int, seed: int,
 def check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
                  samples: int, seed: int, workers: int | None) -> None:
     """The bounds shared by every Monte Carlo entry point, and by the CLI before it counts."""
-    if not all(1 <= n <= MAX_DIMENSION for n in dimensions):
+    if not dimensions or not all(1 <= n <= MAX_DIMENSION for n in dimensions):
         raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}")
     if not powers or not all(1 <= k <= MAX_POWER for k in powers):
         raise ValueError(f"power must be in 1..{MAX_POWER}")

@@ -10,7 +10,7 @@ from unimoments import graphs, montecarlo, polynomials
 
 @pytest.fixture
 def tiny_layer_guard(monkeypatch):
-    """A layer guard of 10 states, which refuses every row from 2k = 10 on.
+    """A layer guard of 10 states, which refuses every row from 2k = 12 on.
 
     The row cache is emptied first, so that no row computed under the real
     guard is served without a search.

@@ -245,7 +245,7 @@ class TestExitCodes:
 
     def test_scale_refusal_for_layer_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 10)
-        assert cli.main(["count", "--k", "5"]) == 3
+        assert cli.main(["count", "--k", "6"]) == 3
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_usage_error_on_seed_out_of_range(self, capsys, seed):

@@ -66,11 +66,11 @@ class TestCountRows:
             count_brute(counting.BRUTE_MAX_K + 1)
 
     def test_layer_guard(self, monkeypatch):
-        # the k = 5 cycle needs 20 states in its widest layer (87 in one class)
-        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 19)
-        with pytest.raises(ScaleLimitError, match="19 states"):
+        # the k = 5 cycle needs 6 states in its widest layer (76 in one class)
+        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 5)
+        with pytest.raises(ScaleLimitError, match="5 states"):
             count_ddcg_partitions(5)
-        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 20)
+        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 6)
         assert count_ddcg_partitions(5) == KNOWN_ROWS[5]
 
     @pytest.mark.parametrize("k", range(1, 9))

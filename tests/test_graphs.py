@@ -17,6 +17,7 @@ from unimoments import (
     SetPartition,
     alternating_cycle,
     balanced_quotient_counts,
+    ftable_row,
     injective_traffic_brute,
     injective_traffic_value,
     is_ddcg,
@@ -28,6 +29,8 @@ from unimoments import (
 )
 from unimoments import graphs
 from unimoments.sampling import unimodular_batch
+
+from test_counting import ROW_24
 
 R, B = Color.RED, Color.BLUE
 BELL = [1, 1, 2, 5, 15, 52, 203]
@@ -257,14 +260,30 @@ class TestBalancedQuotientCounts:
         assert graphs._vertex_classes(ColoredDigraph(3, ((0, 1, R), (0, 1, B)))) == [0, 0, 0]
         assert graphs._vertex_classes(ColoredDigraph(3, ((0, 1, R),))) == [1, 0, 0]
 
-    @pytest.mark.parametrize("k", range(1, 12))
+    @pytest.mark.parametrize("k", range(1, 14))
     def test_swapped_roles_give_the_reference_rows(self, k):
-        # shifting every vertex by one makes vertex 0 a row, so the classes swap
+        # shifting every vertex by one makes vertex 0 a row, so the classes swap;
+        # past the reference table, 2k = 24 has a known row and 2k = 26 the unshifted one
         n = 2 * k
         rotated = ColoredDigraph(n, tuple(((t + 1) % n, (h + 1) % n, c)
                                           for t, h, c in alternating_cycle(k).edges))
         assert graphs._vertex_classes(rotated)[:2] == [0, 1]
-        assert balanced_quotient_counts(rotated) == [0, *REFERENCE_COUNTS[2 * k]] + [0] * (k - 1)
+        if n in REFERENCE_COUNTS:
+            expected = [0, *REFERENCE_COUNTS[n]] + [0] * (k - 1)
+        elif n == 24:
+            expected = [0, *ROW_24] + [0] * (k - 1)
+        else:
+            expected = [0, *ftable_row(k)] + [0] * (k - 1)
+        assert balanced_quotient_counts(rotated) == expected
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_cycle_grid_is_narayana_on_its_diagonal_and_symmetric(self, k):
+        # G(a, b) counts row partitions with a blocks and column partitions with b;
+        # on a + b = k + 1 they are the noncrossing pairs, counted by Narayana numbers
+        grid = graphs._block_grid(alternating_cycle(k))
+        assert grid == {(b, a): ways for (a, b), ways in grid.items()}
+        for a in range(1, k + 1):
+            assert grid[a, k + 1 - a] == math.comb(k, a) * math.comb(k, a - 1) // k
 
     def test_states_wider_than_a_byte(self):
         # 2E >= 256 or V >= 256 moves the packed state items to 4 bytes

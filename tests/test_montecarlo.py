@@ -283,6 +283,7 @@ class TestValidateAgainstExact:
         (2, [2, 300], 400, "dimension"),
         (2, [0], 400, "dimension"),
         (17, [2], 400, "power"),
+        (2, [], 400, "dimension"),
     ])
     def test_shares_the_input_guard(self, no_sampling, k_max, n_list, samples, match):
         with pytest.raises(ValueError, match=match):
