@@ -11,7 +11,8 @@ Catalan number; everything in between has no known formula.
 import math
 import time
 
-from unimoments import REFERENCE_COUNTS, count_brute, count_ddcg_partitions
+from unimoments import count_brute, count_ddcg_partitions
+from unimoments.tables import REFERENCE_COUNTS
 
 print("exact counts F(2k, j) of balanced-quotient partitions")
 print()

@@ -35,10 +35,8 @@ from .polynomials import (
     MomentPolynomial,
     borel_entry,
     conjectured_ftable,
-    conjectured_moment,
     elementary_symmetric,
     exact_moment,
-    falling_factorial,
     find_disproof,
     ftable_row,
     moment_polynomial,
@@ -46,8 +44,6 @@ from .polynomials import (
     pochhammer_to_monomial,
     stirling2,
 )
-from .sampling import sample_unimodular
-from .tables import CONJECTURED_COUNTS, REFERENCE_COUNTS
 
 __version__ = "0.1.0"
 
@@ -72,10 +68,8 @@ __all__ = [
     "monomial_to_pochhammer",
     "stirling2",
     "elementary_symmetric",
-    "falling_factorial",
     "borel_entry",
     "conjectured_ftable",
-    "conjectured_moment",
     "exact_moment",
     "ftable_row",
     "find_disproof",
@@ -83,9 +77,6 @@ __all__ = [
     "ValidationReport",
     "estimate_moment",
     "validate_against_exact",
-    "sample_unimodular",
-    "REFERENCE_COUNTS",
-    "CONJECTURED_COUNTS",
     "ScaleLimitError",
     "InternalCheckError",
     "__version__",

@@ -163,6 +163,9 @@ def _cmd_count(args):
     else:
         lo, hi = args.k_range
         ks = list(range(lo, hi + 1))
+    if args.brute and max(ks) > counting.BRUTE_MAX_K:
+        # refuse before the oracle spends minutes on the smaller k
+        raise ScaleLimitError(f"brute-force oracle limited to k <= {counting.BRUTE_MAX_K}")
     rows = []
     for k in ks:
         row = counting.count_brute(k) if args.brute else counting.count_ddcg_partitions(k)
@@ -221,11 +224,8 @@ _COMMANDS = {
 
 
 def _emit_json(command, parameters, results, runtime_ms, out):
-    def encode_rows(rows):
-        return [{key: _encode(value) for key, value in row.items()} for row in rows]
-
-    encoded = {key: encode_rows(value) if isinstance(value, list) else value
-               for key, value in results.items()}
+    encoded = {name: [{key: _encode(value) for key, value in row.items()} for row in rows]
+               for name, rows in results.items()}
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ScaleLimitError", "InternalCheckError"]
+
 
 class ScaleLimitError(ValueError):
     """A requested computation exceeds the scale an operation is willing to run at."""

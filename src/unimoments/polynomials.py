@@ -24,7 +24,6 @@ from . import counting
 from .errors import InternalCheckError
 
 __all__ = [
-    "falling_factorial",
     "stirling2",
     "elementary_symmetric",
     "pochhammer_to_monomial",
@@ -33,16 +32,10 @@ __all__ = [
     "moment_polynomial",
     "borel_entry",
     "conjectured_ftable",
-    "conjectured_moment",
     "exact_moment",
     "ftable_row",
     "find_disproof",
 ]
-
-def falling_factorial(n: int, j: int) -> int:
-    """Pochhammer symbol (n)_j = n (n-1) ... (n-j+1); zero once j > n."""
-    return math.perm(n, j)
-
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, j: int) -> int:
@@ -129,7 +122,7 @@ def moment_polynomial(k: int, ftable_row) -> MomentPolynomial:
     a = tuple(pochhammer_to_monomial(b))
     for n in range(1, 2 * k + 4):
         via_monomial = sum(c * n ** j for j, c in enumerate(a, start=1))
-        via_pochhammer = sum(c * falling_factorial(n, j) for j, c in enumerate(b, start=1))
+        via_pochhammer = sum(c * math.perm(n, j) for j, c in enumerate(b, start=1))
         if via_monomial != via_pochhammer:
             raise InternalCheckError(
                 f"basis mismatch for k={k} at N={n}: {via_monomial} != {via_pochhammer}"
@@ -147,32 +140,18 @@ def borel_entry(k: int, j: int) -> int:
     return value
 
 
-def _conjectured_monomials(k: int) -> list[int]:
-    """Conjectured Q_k on N^1..N^(k+1): (-1)^(k-j+1) f_(k-1, k-j+1) N^j, f the Borel triangle."""
-    return [(-1) ** (k - j + 1) * borel_entry(k - 1, k - j + 1) for j in range(1, k + 2)]
-
-
 def conjectured_ftable(k: int) -> list[int]:
     """The Borel-triangle prediction for [F(2k, 1), ..., F(2k, k+1)].
 
-    Obtained by pushing the conjectured monomial coefficients through the
-    Stirling change of basis.  Agrees with the exact counts for k <= 5 and
-    diverges from k = 6 on.
+    The conjectured Q_k is sum_j (-1)^(k-j+1) f(k-1, k-j+1) N^j, f the Borel
+    triangle; its monomial coefficients go through the Stirling change of
+    basis.  Agrees with the exact counts for k <= 5 and diverges from k = 6 on.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return monomial_to_pochhammer(_conjectured_monomials(k))
-
-
-def conjectured_moment(k: int, n: int) -> Fraction:
-    """The conjectured k-th moment Q_k(n) / n^(2k+1), as an exact rational.
-
-    Exact for k <= 5 only.
-    """
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be positive integers")
-    numerator = sum(a * n ** j for j, a in enumerate(_conjectured_monomials(k), start=1))
-    return Fraction(numerator, n ** (2 * k + 1))
+    return monomial_to_pochhammer(
+        [(-1) ** (k - j + 1) * borel_entry(k - 1, k - j + 1) for j in range(1, k + 2)]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -186,8 +165,11 @@ def ftable_row(k: int) -> tuple[int, ...]:
 
 
 def exact_moment(k: int, n: int) -> Fraction:
-    """Exact k-th mean spectral moment at dimension n."""
-    return moment_polynomial(k, ftable_row(k)).moment(n)
+    """Exact k-th mean spectral moment at dimension n: sum_j F(2k, j) (n)_j / n^(2k+1)."""
+    if n < 1:
+        raise ValueError("matrix dimension must be >= 1")
+    numerator = sum(c * math.perm(n, j) for j, c in enumerate(ftable_row(k), start=1))
+    return Fraction(numerator, n ** (2 * k + 1))
 
 
 def find_disproof(k_max: int) -> list[tuple[int, int, int, int]]:

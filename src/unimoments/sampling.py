@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sample_unimodular", "unimodular_batch"]
+__all__ = ["unimodular_batch"]
 
 _MASK64 = (1 << 64) - 1
 _PHILOX_BLOCK = 4  # Philox4x64 yields four 64-bit words per counter step
@@ -44,11 +44,3 @@ def unimodular_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
     np.sin(angles, out=out.imag)
     return out.reshape(count, n, n)
 
-
-def sample_unimodular(n: int, seed: int, index: int = 0) -> np.ndarray:
-    """One n x n matrix of i.i.d. entries exp(i*theta), theta uniform on [0, 2*pi).
-
-    Sample ``index`` of the seed's stream: the same pair yields the same
-    matrix across runs, batchings and worker counts.
-    """
-    return unimodular_batch(n, seed, index, 1)[0]

@@ -12,8 +12,6 @@ from fractions import Fraction
 import pytest
 
 from unimoments import (
-    CONJECTURED_COUNTS,
-    REFERENCE_COUNTS,
     Color,
     ColoredDigraph,
     alternating_cycle,
@@ -31,6 +29,7 @@ from unimoments import (
     validate_against_exact,
 )
 from unimoments import graphs
+from unimoments.tables import CONJECTURED_COUNTS, REFERENCE_COUNTS
 
 R, B = Color.RED, Color.BLUE
 

@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import math
 
 import jsonschema
 import pytest
 
-from unimoments import cli, graphs, montecarlo
+from unimoments import cli, counting, graphs, montecarlo
 
 
 def run_cli(capsys, *argv):
@@ -84,14 +85,12 @@ class TestPolyCommand:
         }
         assert coeffs[("pochhammer", 6)] == 23011155057
         # both bases must evaluate identically after the JSON round trip
-        from unimoments import falling_factorial
-
         n = 9
         monomial = [int(coeffs[("monomial", j)]) for j in range(1, 13)]
         pochhammer = [int(coeffs[("pochhammer", j)]) for j in range(1, 13)]
         via_monomial = sum(c * n**j for j, c in enumerate(monomial, start=1))
         via_pochhammer = sum(
-            c * falling_factorial(n, j) for j, c in enumerate(pochhammer, start=1)
+            c * math.perm(n, j) for j, c in enumerate(pochhammer, start=1)
         )
         assert via_monomial == via_pochhammer
 
@@ -239,6 +238,12 @@ class TestExitCodes:
 
     def test_scale_refusal_for_brute(self, capsys):
         assert cli.main(["count", "--k", "7", "--brute"]) == 3
+
+    def test_brute_refused_before_it_counts(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(counting, "count_brute", calls.append)
+        assert cli.main(["count", "--k-range", "1..7", "--brute"]) == 3
+        assert calls == []
 
     def test_scale_refusal_beyond_reference(self, capsys, tiny_layer_guard):
         assert cli.main(["poly", "--k", "12"]) == 3

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from unimoments import (
     Color,
-    REFERENCE_COUNTS,
     ColoredDigraph,
     ScaleLimitError,
     SetPartition,
@@ -28,6 +27,7 @@ from unimoments import (
     traffic_state_brute,
 )
 from unimoments import graphs
+from unimoments.tables import REFERENCE_COUNTS
 from unimoments.sampling import unimodular_batch
 
 from test_counting import ROW_24

@@ -12,7 +12,6 @@ from unimoments import (
     ScaleLimitError,
     estimate_moment,
     exact_moment,
-    sample_unimodular,
     validate_against_exact,
 )
 from unimoments import montecarlo
@@ -22,23 +21,23 @@ from unimoments.sampling import unimodular_batch
 
 class TestSampler:
     def test_unit_modulus(self):
-        u = sample_unimodular(6, seed=3, index=11)
+        u = unimodular_batch(6, 3, 11, 1)[0]
         assert np.abs(np.abs(u) - 1.0).max() < 1e-12
 
     def test_bit_identical_for_fixed_key(self):
-        a = sample_unimodular(4, seed=5, index=9)
-        b = sample_unimodular(4, seed=5, index=9)
+        a = unimodular_batch(4, 5, 9, 1)[0]
+        b = unimodular_batch(4, 5, 9, 1)[0]
         assert (a == b).all()
 
     def test_distinct_indices_differ(self):
-        a = sample_unimodular(4, seed=5, index=9)
-        b = sample_unimodular(4, seed=5, index=10)
-        c = sample_unimodular(4, seed=6, index=9)
+        a = unimodular_batch(4, 5, 9, 1)[0]
+        b = unimodular_batch(4, 5, 10, 1)[0]
+        c = unimodular_batch(4, 6, 9, 1)[0]
         assert not (a == b).all()
         assert not (a == c).all()
 
     def test_scalar_case(self):
-        u = sample_unimodular(1, seed=0, index=0)
+        u = unimodular_batch(1, 0, 0, 1)[0]
         assert u.shape == (1, 1)
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
@@ -49,8 +48,6 @@ class TestSampler:
             unimodular_batch(2, seed=1, start=-1, count=1)
         with pytest.raises(ValueError, match="count"):
             unimodular_batch(2, seed=1, start=0, count=-1)
-        with pytest.raises(ValueError, match="index"):
-            sample_unimodular(2, seed=1, index=-1)
 
     def test_seed_range(self):
         # -1 and 2^64 - 1 would share one stream if seeds wrapped mod 2^64
@@ -58,8 +55,6 @@ class TestSampler:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 unimodular_batch(2, seed=seed, start=0, count=1)
-            with pytest.raises(ValueError, match="seed"):
-                sample_unimodular(2, seed=seed)
 
 
 class TestStreamContract:
@@ -76,7 +71,7 @@ class TestStreamContract:
         batch = unimodular_batch(n, seed, start, count)
         assert batch.shape == (count, n, n)
         for i in range(count):
-            assert (batch[i] == sample_unimodular(n, seed, start + i)).all()
+            assert (batch[i] == unimodular_batch(n, seed, start + i, 1)[0]).all()
 
     def test_golden_seed_zero(self):
         # derived from the raw stream alone: theta = 2 pi (raw >> 11) 2^-53
@@ -85,7 +80,7 @@ class TestStreamContract:
         unit = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
         want = np.exp(1j * (2.0 * np.pi * unit)).reshape(samples, n, n)
         for i in range(samples):
-            assert (sample_unimodular(n, seed=0, index=i) == want[i]).all()
+            assert (unimodular_batch(n, 0, i, 1)[0] == want[i]).all()
         assert (unimodular_batch(n, seed=0, start=0, count=samples) == want).all()
 
 

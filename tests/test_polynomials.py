@@ -9,15 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unimoments import (
-    CONJECTURED_COUNTS,
-    REFERENCE_COUNTS,
     ScaleLimitError,
     borel_entry,
     conjectured_ftable,
-    conjectured_moment,
     elementary_symmetric,
     exact_moment,
-    falling_factorial,
     find_disproof,
     ftable_row,
     moment_polynomial,
@@ -26,6 +22,7 @@ from unimoments import (
     stirling2,
 )
 from unimoments import polynomials
+from unimoments.tables import CONJECTURED_COUNTS, REFERENCE_COUNTS
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
 int_vectors = st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=16)
@@ -52,11 +49,6 @@ class TestStirlingAndSymmetric:
         assert [elementary_symmetric(m, 3) for m in range(4)] == [1, 6, 11, 6]
         assert elementary_symmetric(4, 3) == 0
         assert elementary_symmetric(0, 0) == 1
-
-    def test_falling_factorial(self):
-        assert falling_factorial(5, 3) == 60
-        assert falling_factorial(3, 4) == 0
-        assert falling_factorial(7, 0) == 1
 
 
 class TestBasisConversion:
@@ -86,7 +78,7 @@ class TestBasisConversion:
     @given(int_vectors, st.integers(1, 12))
     def test_conversion_preserves_evaluation(self, b, n):
         a = pochhammer_to_monomial(b)
-        via_b = sum(c * falling_factorial(n, j) for j, c in enumerate(b, start=1))
+        via_b = sum(c * math.perm(n, j) for j, c in enumerate(b, start=1))
         via_a = sum(c * n**j for j, c in enumerate(a, start=1))
         assert via_a == via_b
 
@@ -139,6 +131,11 @@ class TestBorelTriangle:
                 borel_entry(k, j)  # raises if the division is not exact
 
 
+def conjectured_moment(k, n):
+    """The conjectured k-th moment at dimension n, from the predicted row."""
+    return moment_polynomial(k, conjectured_ftable(k)).moment(n)
+
+
 class TestConjecturedValues:
     def test_breaking_entry(self):
         assert conjectured_ftable(6)[2] == 10988
@@ -168,12 +165,14 @@ class TestConjecturedValues:
 
     def test_two_prediction_forms_agree(self):
         # the falling-factorial form of the prediction must re-expand to the
-        # monomial form for every dimension
+        # Borel-triangle monomial form for every dimension
         for k in range(1, 9):
             pred = conjectured_ftable(k)
+            borel = [(-1) ** (k - j + 1) * borel_entry(k - 1, k - j + 1) for j in range(1, k + 2)]
             for n in range(1, 2 * k + 4):
-                lhs = sum(c * falling_factorial(n, j) for j, c in enumerate(pred, start=1))
-                assert Fraction(lhs, n ** (2 * k + 1)) == conjectured_moment(k, n)
+                lhs = sum(c * math.perm(n, j) for j, c in enumerate(pred, start=1))
+                rhs = sum(c * n**j for j, c in enumerate(borel, start=1))
+                assert lhs == rhs
 
 
 class TestFindDisproof:
@@ -231,6 +230,17 @@ class TestExactMoment:
         # at N=2 only j = 1, 2 survive, so Q_k(2) = 2 * C(2k, k) exactly
         for k in range(1, 7):
             assert exact_moment(k, 2) == Fraction(math.comb(2 * k, k), 4**k)
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_row_sum_equals_the_polynomial(self, k):
+        poly = moment_polynomial(k, ftable_row(k))
+        for n in range(1, 10):
+            assert exact_moment(k, n) == poly.moment(n)
+
+    @pytest.mark.parametrize("k, n", [(1, 0), (2, -1), (0, 2), (-1, 3)])
+    def test_invalid_arguments(self, k, n):
+        with pytest.raises(ValueError):
+            exact_moment(k, n)
 
 
 def test_thousand_random_round_trips():

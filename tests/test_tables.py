@@ -2,7 +2,7 @@
 
 import math
 
-from unimoments import CONJECTURED_COUNTS, REFERENCE_COUNTS
+from unimoments.tables import CONJECTURED_COUNTS, REFERENCE_COUNTS
 
 
 def test_coverage_and_row_lengths():
