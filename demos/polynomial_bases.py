@@ -1,4 +1,4 @@
-"""Assemble the spectral-moment polynomials Q_k in both bases.
+"""Print the spectral-moment polynomials Q_k in both bases.
 
 The k-th mean spectral moment of rho = U U* / N^2 is Q_k(N) / N^(2k+1).
 Q_k arrives with falling-factorial coefficients (the balanced-quotient
@@ -9,7 +9,7 @@ polynomials one way and Stirling numbers the other.
 import math
 from fractions import Fraction
 
-from unimoments import exact_moment, ftable_row, moment_polynomial
+from unimoments import exact_moment, ftable_row, pochhammer_to_monomial
 
 
 def pretty(coeffs, term):
@@ -22,10 +22,10 @@ def pretty(coeffs, term):
 
 
 for k in range(1, 8):
-    poly = moment_polynomial(k, ftable_row(k))
+    row = ftable_row(k)
     print(f"k = {k}")
-    print(f"  falling factorial: {pretty(poly.pochhammer_coeffs, '(N)')}")
-    print(f"  monomial:          {pretty(poly.monomial_coeffs, 'N')}")
+    print(f"  falling factorial: {pretty(row, '(N)')}")
+    print(f"  monomial:          {pretty(pochhammer_to_monomial(row), 'N')}")
 
 print()
 print("exact moments at small dimensions:")

@@ -4,9 +4,10 @@ The squared ensemble is rho = U U* / N^2 with U an N x N matrix of i.i.d.
 entries uniform on the complex unit circle.  Its k-th mean spectral moment
 is Q_k(N) / N^(2k+1) for an integer polynomial Q_k whose falling-factorial
 coefficients count set partitions of an alternating 2k-cycle with balanced
-quotients.  This package computes those counts exactly, assembles the
-polynomials, evaluates the Borel-triangle closed form that predicts the
-same counts only up to k = 5, and validates everything by Monte Carlo.
+quotients.  This package computes those counts exactly, converts the
+polynomials between bases, sums exact moments from the counts, evaluates
+the Borel-triangle closed form that predicts the same counts only up to
+k = 5, and validates everything by Monte Carlo.
 """
 
 from .counting import count_brute, count_ddcg_partitions
@@ -32,14 +33,12 @@ from .montecarlo import (
     validate_against_exact,
 )
 from .polynomials import (
-    MomentPolynomial,
     borel_entry,
     conjectured_ftable,
     elementary_symmetric,
     exact_moment,
     find_disproof,
     ftable_row,
-    moment_polynomial,
     monomial_to_pochhammer,
     pochhammer_to_monomial,
     stirling2,
@@ -62,8 +61,6 @@ __all__ = [
     "iter_partitions",
     "count_ddcg_partitions",
     "count_brute",
-    "MomentPolynomial",
-    "moment_polynomial",
     "pochhammer_to_monomial",
     "monomial_to_pochhammer",
     "stirling2",

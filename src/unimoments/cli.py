@@ -124,11 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_format(p):
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--workers", type=int, default=None,
-                       help="at most this many threads for mc, which picks its own "
-                            "count from --n; other commands accept and ignore it")
 
     p_count = sub.add_parser("count", help="balanced-quotient counts F(2k, j)")
     group = p_count.add_mutually_exclusive_group(required=True)
@@ -136,28 +133,34 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--k-range", type=_parse_k_range, metavar="A..B")
     p_count.add_argument("--brute", action="store_true",
                          help="use the partition-lattice oracle instead of the engine")
-    add_common(p_count)
+    p_count.add_argument("--workers", type=int, default=None,
+                         help="accepted and ignored; must be >= 1")
+    add_format(p_count)
 
     p_poly = sub.add_parser("poly", help="moment polynomial Q_k in both bases")
     p_poly.add_argument("--k", type=int, required=True)
-    add_common(p_poly)
+    add_format(p_poly)
 
     p_conj = sub.add_parser("conjecture",
                             help="Borel-triangle prediction vs actual counts")
     p_conj.add_argument("--k-max", type=int, required=True)
-    add_common(p_conj)
+    add_format(p_conj)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo moment estimate vs exact")
     p_mc.add_argument("--n", type=int, required=True)
     p_mc.add_argument("--k", type=int, required=True)
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=0)
-    add_common(p_mc)
+    p_mc.add_argument("--workers", type=int, default=None,
+                      help="at most this many threads; mc picks its own count from --n")
+    add_format(p_mc)
 
     return parser
 
 
 def _cmd_count(args):
+    if args.workers is not None and args.workers < 1:
+        raise ValueError("workers must be >= 1")
     if args.k is not None:
         ks = [args.k]
     else:
@@ -177,13 +180,12 @@ def _cmd_count(args):
 
 
 def _cmd_poly(args):
-    poly = polynomials.moment_polynomial(args.k, polynomials.ftable_row(args.k))
+    row = polynomials.ftable_row(args.k)
     rows = [
-        {"k": args.k, "basis": "pochhammer", "j": j, "coefficient": c}
-        for j, c in enumerate(poly.pochhammer_coeffs, start=1)
-    ] + [
-        {"k": args.k, "basis": "monomial", "j": j, "coefficient": c}
-        for j, c in enumerate(poly.monomial_coeffs, start=1)
+        {"k": args.k, "basis": basis, "j": j, "coefficient": c}
+        for basis, coeffs in (("pochhammer", row),
+                              ("monomial", polynomials.pochhammer_to_monomial(row)))
+        for j, c in enumerate(coeffs, start=1)
     ]
     return {"k": args.k}, {"rows": rows}
 
@@ -191,14 +193,16 @@ def _cmd_poly(args):
 def _cmd_conjecture(args):
     if args.k_max < 1:
         raise ValueError("--k-max must be >= 1")
-    rows, disproofs = [], []
-    for k in range(1, args.k_max + 1):
-        actual = polynomials.ftable_row(k)
-        predicted = polynomials.conjectured_ftable(k)
-        for j, (p, a) in enumerate(zip(predicted, actual), start=1):
-            rows.append({"two_k": 2 * k, "j": j, "conjectured": p, "actual": a, "match": p == a})
-            if p != a:
-                disproofs.append({"k": k, "j": j, "conjectured": p, "actual": a})
+    rows = [
+        {"two_k": 2 * k, "j": j, "conjectured": p, "actual": a, "match": p == a}
+        for k in range(1, args.k_max + 1)
+        for j, (p, a) in enumerate(zip(polynomials.conjectured_ftable(k),
+                                       polynomials.ftable_row(k)), start=1)
+    ]
+    disproofs = [
+        {"k": k, "j": j, "conjectured": p, "actual": a}
+        for k, j, p, a in polynomials.find_disproof(args.k_max)
+    ]
     return {"k_max": args.k_max}, {"rows": rows, "disproofs": disproofs}
 
 

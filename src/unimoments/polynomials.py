@@ -4,10 +4,10 @@ The k-th mean spectral moment of the squared ensemble is Q_k(N) / N^(2k+1)
 where Q_k has integer coefficients.  Q_k arrives naturally in the falling
 factorial basis, with the balanced-quotient counts F(2k, j) as coefficients;
 this module converts between that basis and ordinary powers of N (both
-directions, exactly), assembles moment polynomials, and evaluates the
-Borel-triangle closed form that was once believed to produce the same
-numbers.  Everything is arbitrary-precision integer or rational arithmetic;
-no floats.
+directions, exactly), sums exact moments straight from a count row, and
+evaluates the Borel-triangle closed form that was once believed to produce
+the same numbers.  Everything is arbitrary-precision integer or rational
+arithmetic; no floats.
 
 Coefficient vectors are Python sequences indexed from j = 1: ``coeffs[i]``
 is the coefficient of (N)_(i+1) or N^(i+1).
@@ -16,7 +16,6 @@ is the coefficient of (N)_(i+1) or N^(i+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,8 +27,6 @@ __all__ = [
     "elementary_symmetric",
     "pochhammer_to_monomial",
     "monomial_to_pochhammer",
-    "MomentPolynomial",
-    "moment_polynomial",
     "borel_entry",
     "conjectured_ftable",
     "exact_moment",
@@ -65,17 +62,27 @@ def pochhammer_to_monomial(b) -> list[int]:
     """Coefficients on powers of x for the polynomial sum_j b[j] (x)_j.
 
     a_j = sum_{r >= j} (-1)^(r-j) e_(r-j)(1, ..., r-1) b_r, from expanding
-    each falling factorial by the Vieta relations.
+    each falling factorial by the Vieta relations.  Both bases are evaluated
+    exactly at x = 1..2 len(b) + 1 before returning; a mismatch means a bug,
+    not bad input, and raises InternalCheckError.
     """
     b = [int(x) for x in b]
     n = len(b)
-    return [
+    a = [
         sum(
             (-1) ** (r - j) * elementary_symmetric(r - j, r - 1) * b[r - 1]
             for r in range(j, n + 1)
         )
         for j in range(1, n + 1)
     ]
+    for x in range(1, 2 * n + 2):
+        via_monomial = sum(c * x ** j for j, c in enumerate(a, start=1))
+        via_pochhammer = sum(c * math.perm(x, j) for j, c in enumerate(b, start=1))
+        if via_monomial != via_pochhammer:
+            raise InternalCheckError(
+                f"basis mismatch at x={x}: {via_monomial} != {via_pochhammer}"
+            )
+    return a
 
 
 def monomial_to_pochhammer(a) -> list[int]:
@@ -89,45 +96,6 @@ def monomial_to_pochhammer(a) -> list[int]:
         sum(stirling2(r, j) * a[r - 1] for r in range(j, n + 1))
         for j in range(1, n + 1)
     ]
-
-
-@dataclass(frozen=True)
-class MomentPolynomial:
-    """Q_k in both bases: Q_k(N) = sum_j b_j (N)_j = sum_j a_j N^j, j = 1..k+1."""
-
-    k: int
-    pochhammer_coeffs: tuple[int, ...]
-    monomial_coeffs: tuple[int, ...]
-
-    def numerator(self, n: int) -> int:
-        """Exact Q_k(n)."""
-        return sum(a * n ** j for j, a in enumerate(self.monomial_coeffs, start=1))
-
-    def moment(self, n: int) -> Fraction:
-        """Exact k-th mean spectral moment at dimension n: Q_k(n) / n^(2k+1)."""
-        if n < 1:
-            raise ValueError("matrix dimension must be >= 1")
-        return Fraction(self.numerator(n), n ** (2 * self.k + 1))
-
-
-def moment_polynomial(k: int, ftable_row) -> MomentPolynomial:
-    """Assemble Q_k from a row of balanced-quotient counts.
-
-    Cross-validates the two bases by exact evaluation at N = 1..2k+3 before
-    returning; a mismatch means a bug, not bad input.
-    """
-    b = tuple(int(x) for x in ftable_row)
-    if k < 1 or len(b) != k + 1:
-        raise ValueError(f"expected k+1 = {k + 1} counts for k={k}, got {len(b)}")
-    a = tuple(pochhammer_to_monomial(b))
-    for n in range(1, 2 * k + 4):
-        via_monomial = sum(c * n ** j for j, c in enumerate(a, start=1))
-        via_pochhammer = sum(c * math.perm(n, j) for j, c in enumerate(b, start=1))
-        if via_monomial != via_pochhammer:
-            raise InternalCheckError(
-                f"basis mismatch for k={k} at N={n}: {via_monomial} != {via_pochhammer}"
-            )
-    return MomentPolynomial(k, b, a)
 
 
 def borel_entry(k: int, j: int) -> int:

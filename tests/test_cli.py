@@ -8,7 +8,7 @@ import math
 import jsonschema
 import pytest
 
-from unimoments import cli, counting, graphs, montecarlo
+from unimoments import cli, counting, graphs, montecarlo, polynomials
 
 
 def run_cli(capsys, *argv):
@@ -289,6 +289,12 @@ class TestExitCodes:
         monkeypatch.setattr(montecarlo, "HERMITIAN_DRIFT_TOL", -1.0)
         assert cli.main(["mc", "--n", "2", "--k", "1", "--samples", "100"]) == 4
 
+    def test_internal_failure_in_the_basis_conversion(self, capsys, monkeypatch):
+        original = polynomials.elementary_symmetric
+        monkeypatch.setattr(polynomials, "elementary_symmetric",
+                            lambda m, n: original(m, n) + (m == 1))
+        assert cli.main(["poly", "--k", "3"]) == 4
+
 
 MC_ARGS = ("mc", "--n", "4", "--k", "2", "--seed", "3")
 
@@ -330,3 +336,13 @@ class TestWorkers:
     def test_count_accepts_and_ignores_workers(self, capsys):
         record = run_json(capsys, "count", "--k", "2", "--workers", "2")
         assert record["parameters"] == {"k": [2], "brute": False}
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_count_refuses_fewer_than_one_worker(self, capsys, workers):
+        assert cli.main(["count", "--k", "2", "--workers", workers]) == 2
+
+    @pytest.mark.parametrize("argv", [("poly", "--k", "2"), ("conjecture", "--k-max", "2")])
+    def test_other_commands_reject_workers(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--workers", "2"])
+        assert exc.value.code == 2

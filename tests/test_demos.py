@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "demo",
-    ["count_balanced_quotients", "moment_polynomials", "monte_carlo_validation",
+    ["count_balanced_quotients", "polynomial_bases", "monte_carlo_validation",
      "prediction_breakdown", "traffic_states"],
 )
 def test_demo_runs(demo):

@@ -1,4 +1,4 @@
-"""Basis-conversion, moment-polynomial, and prediction-comparator tests."""
+"""Basis-conversion, exact-moment, and prediction-comparator tests."""
 
 import math
 import random
@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unimoments import (
+    InternalCheckError,
     ScaleLimitError,
     borel_entry,
     conjectured_ftable,
@@ -16,7 +17,6 @@ from unimoments import (
     exact_moment,
     find_disproof,
     ftable_row,
-    moment_polynomial,
     monomial_to_pochhammer,
     pochhammer_to_monomial,
     stirling2,
@@ -25,6 +25,13 @@ from unimoments import polynomials
 from unimoments.tables import CONJECTURED_COUNTS, REFERENCE_COUNTS
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
+
+
+def moment_from_monomials(k, n, coeffs):
+    """Q_k(n) / n^(2k+1), with Q_k given by its coefficients on N^1, N^2, ..."""
+    return Fraction(sum(c * n**j for j, c in enumerate(coeffs, start=1)), n ** (2 * k + 1))
+
+
 int_vectors = st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=16)
 
 
@@ -82,35 +89,38 @@ class TestBasisConversion:
         via_a = sum(c * n**j for j, c in enumerate(a, start=1))
         assert via_a == via_b
 
+    def test_faulty_conversion_is_caught(self, monkeypatch):
+        original = polynomials.elementary_symmetric
+        monkeypatch.setattr(polynomials, "elementary_symmetric",
+                            lambda m, n: original(m, n) + (m == 1))
+        with pytest.raises(InternalCheckError, match="basis mismatch"):
+            pochhammer_to_monomial([1, 5, 2])
 
-class TestMomentPolynomial:
+
+class TestMomentCoefficients:
     def test_k6_golden_coefficients(self):
-        poly = moment_polynomial(6, REFERENCE_COUNTS[12])
-        assert poly.monomial_coeffs == (0, -46, 262, -624, 772, -495, 132)
+        coeffs = pochhammer_to_monomial(REFERENCE_COUNTS[12])
+        assert coeffs == [0, -46, 262, -624, 772, -495, 132]
+        assert exact_moment(6, 4) == moment_from_monomials(6, 4, coeffs)
 
     def test_k7_golden_coefficients(self):
-        poly = moment_polynomial(7, REFERENCE_COUNTS[14])
-        assert poly.monomial_coeffs == (0, 216, -1204, 3073, -4550, 4039, -2002, 429)
+        coeffs = pochhammer_to_monomial(REFERENCE_COUNTS[14])
+        assert coeffs == [0, 216, -1204, 3073, -4550, 4039, -2002, 429]
+        assert exact_moment(7, 3) == moment_from_monomials(7, 3, coeffs)
 
     def test_k1_is_square(self):
-        poly = moment_polynomial(1, [1, 1])
-        assert poly.monomial_coeffs == (0, 1)
+        assert pochhammer_to_monomial([1, 1]) == [0, 1]
         for n in (1, 2, 5):
-            assert poly.moment(n) == Fraction(1, n)
+            assert exact_moment(1, n) == Fraction(1, n)
 
     def test_leading_coefficients_agree(self):
-        for two_k, row in REFERENCE_COUNTS.items():
-            poly = moment_polynomial(two_k // 2, row)
-            assert poly.monomial_coeffs[-1] == row[-1]
+        for row in REFERENCE_COUNTS.values():
+            assert pochhammer_to_monomial(row)[-1] == row[-1]
 
     def test_coefficients_sum_to_one_at_unit_dimension(self):
         for k in (1, 2, 3, 6):
-            poly = moment_polynomial(k, REFERENCE_COUNTS[2 * k])
-            assert sum(poly.monomial_coeffs) == poly.numerator(1) == 1
-
-    def test_row_length_validation(self):
-        with pytest.raises(ValueError):
-            moment_polynomial(2, [1, 5])
+            assert sum(pochhammer_to_monomial(REFERENCE_COUNTS[2 * k])) == 1
+            assert exact_moment(k, 1) == 1
 
 
 class TestBorelTriangle:
@@ -132,8 +142,9 @@ class TestBorelTriangle:
 
 
 def conjectured_moment(k, n):
-    """The conjectured k-th moment at dimension n, from the predicted row."""
-    return moment_polynomial(k, conjectured_ftable(k)).moment(n)
+    """The conjectured k-th moment at dimension n, summed from the predicted row."""
+    numerator = sum(c * math.perm(n, j) for j, c in enumerate(conjectured_ftable(k), start=1))
+    return Fraction(numerator, n ** (2 * k + 1))
 
 
 class TestConjecturedValues:
@@ -233,9 +244,9 @@ class TestExactMoment:
 
     @pytest.mark.parametrize("k", range(1, 12))
     def test_row_sum_equals_the_polynomial(self, k):
-        poly = moment_polynomial(k, ftable_row(k))
+        coeffs = pochhammer_to_monomial(ftable_row(k))
         for n in range(1, 10):
-            assert exact_moment(k, n) == poly.moment(n)
+            assert exact_moment(k, n) == moment_from_monomials(k, n, coeffs)
 
     @pytest.mark.parametrize("k, n", [(1, 0), (2, -1), (0, 2), (-1, 3)])
     def test_invalid_arguments(self, k, n):

@@ -1,15 +1,20 @@
-"""The public surface: every exported name resolves, and the README tour runs."""
+"""The public surface: every exported name resolves, and the README examples run."""
 
 import importlib
+import json
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import unimoments
+from unimoments import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 MODULES = ["unimoments"] + [
     f"unimoments.{info.name}" for info in pkgutil.iter_modules(unimoments.__path__)
     if info.name != "__main__"
@@ -24,6 +29,17 @@ def test_every_exported_name_resolves(name):
 
 
 def test_readme_library_tour_runs():
-    readme = (ROOT / "README.md").read_text()
-    (tour,) = re.findall(r"## Library tour\n\n```python\n(.*?)```", readme, re.DOTALL)
+    (tour,) = re.findall(r"## Library tour\n\n```python\n(.*?)```", README, re.DOTALL)
     exec(compile(tour, "README.md", "exec"), {})
+
+
+(COMMAND_BLOCK,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", README, re.DOTALL)
+COMMAND_LINES = [shlex.split(line, comments=True) for line in COMMAND_BLOCK.splitlines()]
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=" ".join)
+def test_readme_command_line_runs(capsys, argv):
+    assert argv[0] == "unimoments"
+    assert cli.main(argv[1:]) == 0
+    if "csv" not in argv:
+        jsonschema.validate(json.loads(capsys.readouterr().out), cli.OUTPUT_SCHEMAS[argv[1]])
