@@ -15,9 +15,9 @@ from .errors import InternalCheckError, ScaleLimitError
 from .graphs import (
     Color,
     ColoredDigraph,
-    SetPartition,
     alternating_cycle,
     balanced_quotient_counts,
+    balanced_quotient_counts_brute,
     injective_traffic_brute,
     injective_traffic_value,
     is_ddcg,
@@ -49,11 +49,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Color",
     "ColoredDigraph",
-    "SetPartition",
     "alternating_cycle",
     "quotient",
     "is_ddcg",
     "balanced_quotient_counts",
+    "balanced_quotient_counts_brute",
     "injective_traffic_value",
     "injective_traffic_brute",
     "traffic_state_brute",

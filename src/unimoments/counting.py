@@ -10,15 +10,16 @@ The counts come from the balanced-quotient engine,
 a layered state dynamic program that places the cycle's vertices in order,
 keeps its row indices (odd vertices) and column indices (even vertices) in
 separate blocks, and prunes exactly on the imbalance mass and the edge
-parity.  ``count_brute`` is the independent oracle: it
-walks the full partition lattice through the graph-core quotient and
-balance predicate.  Counts are exact Python integers.
+parity.  ``count_brute`` is the independent oracle: the same row from
+``graphs.balanced_quotient_counts_brute``, which walks the full partition
+lattice through the graph-core quotient and balance predicate.  Counts are
+exact Python integers.
 """
 
 from __future__ import annotations
 
 from . import graphs
-from .errors import InternalCheckError, ScaleLimitError
+from .errors import InternalCheckError
 
 __all__ = [
     "count_ddcg_partitions",
@@ -26,8 +27,16 @@ __all__ = [
     "BRUTE_MAX_K",
 ]
 
-# Bell(12) ~ 4.2e6 partitions is the most the lattice-walking oracle will do.
-BRUTE_MAX_K = 6
+# The lattice oracle walks the 2k-cycle's Bell(2k) partitions: at k = 6,
+# 4.2M of them in about a minute of CPU on a 2-core box.
+BRUTE_MAX_K = graphs.LATTICE_MAX_VERTICES // 2
+
+
+def _row(k: int, counts: list[int]) -> list[int]:
+    """[F(2k, 1), ..., F(2k, k+1)] from the 2k-cycle's counts by block count, checked."""
+    if counts[0] or any(counts[k + 2:]):
+        raise InternalCheckError(f"impossible block counts for k={k}: {counts}")
+    return counts[1:k + 2]
 
 
 def count_ddcg_partitions(k: int) -> list[int]:
@@ -36,30 +45,12 @@ def count_ddcg_partitions(k: int) -> list[int]:
     Raises ScaleLimitError when the engine's layers outgrow
     ``graphs.MAX_LAYER_STATES``.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    counts = graphs.balanced_quotient_counts(graphs.alternating_cycle(k))
-    if any(counts[k + 2:]) or counts[0]:
-        raise InternalCheckError(f"impossible block counts for k={k}: {counts}")
-    return counts[1:k + 2]
+    return _row(k, graphs.balanced_quotient_counts(graphs.alternating_cycle(k)))
 
 
 def count_brute(k: int) -> list[int]:
-    """Unpruned oracle: walk every partition, quotient the cycle, test balance.
+    """The same row from the partition-lattice oracle, independent of the engine.
 
-    Deliberately routed through the graph-core operations rather than the
-    engine so the two paths stay independent.
+    Raises ScaleLimitError above ``BRUTE_MAX_K``, before it walks.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if k > BRUTE_MAX_K:
-        raise ScaleLimitError(f"brute-force oracle limited to k <= {BRUTE_MAX_K}")
-    cycle = graphs.alternating_cycle(k)
-    buckets = [0] * (2 * k + 1)
-    for partition in graphs.iter_partitions(2 * k):
-        q = graphs.quotient(cycle, partition)
-        if graphs.is_ddcg(q):
-            buckets[partition.block_count - 1] += 1
-    if any(buckets[k + 1:]):
-        raise InternalCheckError(f"balanced quotient with more than k+1 blocks: {buckets}")
-    return buckets[:k + 1]
+    return _row(k, graphs.balanced_quotient_counts_brute(graphs.alternating_cycle(k)))

@@ -2,9 +2,9 @@
 
 The central objects are directed multigraphs whose edges carry one of two
 colors (red for a matrix with i.i.d. unit-circle entries, blue for its
-adjoint), set partitions of the vertex set in restricted-growth-string form,
-and the quotient construction that merges the vertices inside each block
-while keeping every edge.
+adjoint), set partitions of the vertex set as restricted growth strings
+(plain tuples), and the quotient construction that merges the vertices
+inside each block while keeping every edge.
 
 A colored graph is *balanced* (a double directed colored graph, d.d.c.g.)
 when for every ordered vertex pair (u, v), loops included, the number of red
@@ -13,10 +13,11 @@ exactly the ones that survive expectation over the unit circle, and each one
 contributes a falling factorial to the trace of the graph operation.  This
 module counts the balanced quotients of any colored graph exactly, bucketed
 by block count (``balanced_quotient_counts``), and evaluates traffic states
-from those counts.  The lattice path (``iter_partitions``, ``quotient``,
-``is_ddcg``) and brute-force Monte Carlo evaluators, which sum the edge-entry
-product of sampled matrices over every vertex map in one tensor contraction,
-stay as independent oracles at small scale.
+from those counts.  Two kinds of independent oracle check it at small
+scale: the partition-lattice oracle ``balanced_quotient_counts_brute``,
+which walks ``iter_partitions`` through ``quotient`` and ``is_ddcg``, and
+brute-force Monte Carlo evaluators, which sum the edge-entry product of
+sampled matrices over every vertex map in one tensor contraction.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .sampling import unimodular_batch
 __all__ = [
     "Color",
     "ColoredDigraph",
-    "SetPartition",
     "alternating_cycle",
     "quotient",
     "is_ddcg",
     "balanced_quotient_counts",
+    "balanced_quotient_counts_brute",
     "injective_traffic_value",
     "tau_via_quotients",
     "traffic_state_brute",
@@ -47,6 +48,8 @@ __all__ = [
     "iter_partitions",
 ]
 
+# The lattice oracle walks Bell(V) partitions: Bell(12) = 4,213,597 at most.
+LATTICE_MAX_VERTICES = 12
 # Brute-force evaluators sum over N**V vertex maps per sample.
 BRUTE_MAX_N = 6
 BRUTE_MAX_VERTICES = 6
@@ -83,8 +86,8 @@ class ColoredDigraph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be nonnegative")
+        if not isinstance(self.vertex_count, int) or self.vertex_count < 0:
+            raise ValueError(f"vertex_count must be a nonnegative int, got {self.vertex_count!r}")
         for tail, head, color in self.edges:
             if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
                 raise ValueError(f"edge ({tail}, {head}) out of range for {self.vertex_count} vertices")
@@ -96,66 +99,29 @@ class ColoredDigraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """Partition of {0, ..., n-1} encoded as a restricted growth string.
+def iter_partitions(n: int):
+    """Yield every set partition of {0, ..., n-1} as a restricted growth string.
 
-    ``rgs[i]`` is the block index of element i; blocks are numbered by first
-    appearance, so ``rgs[0] == 0`` and each entry exceeds the running maximum
-    by at most one.
+    Entry i of the tuple is the block of element i.  Blocks are numbered by
+    first appearance, so entry 0 is 0 and each entry exceeds the running
+    maximum by at most one.
     """
-
-    rgs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rgs", tuple(self.rgs))
-        mx = -1
-        for i, b in enumerate(self.rgs):
-            if b > mx + 1 or b < 0:
-                raise ValueError(f"not a restricted growth string at position {i}: {self.rgs}")
-            if b == mx + 1:
-                mx = b
-
-    @property
-    def size(self) -> int:
-        return len(self.rgs)
-
-    @property
-    def block_count(self) -> int:
-        return max(self.rgs) + 1 if self.rgs else 0
-
-    def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.block_count)]
-        for i, b in enumerate(self.rgs):
-            out[b].append(i)
-        return out
-
-
-def _iter_rgs(n: int):
-    """Yield every restricted growth string of length n, reusing one buffer.
-
-    Callers must copy the yielded list if they keep it.
-    """
+    if n < 0:
+        raise ValueError(f"cannot partition {n} elements")
     if n == 0:
-        yield []
+        yield ()
         return
     rgs = [0] * n
 
     def extend(i, mx):
         if i == n:
-            yield rgs
+            yield tuple(rgs)
             return
         for c in range(mx + 2):
             rgs[i] = c
             yield from extend(i + 1, mx if c <= mx else c)
 
     yield from extend(1, 0)
-
-
-def iter_partitions(n: int):
-    """Iterate over all set partitions of {0, ..., n-1}."""
-    for rgs in _iter_rgs(n):
-        yield SetPartition(tuple(rgs))
 
 
 def alternating_cycle(k: int) -> ColoredDigraph:
@@ -174,19 +140,24 @@ def alternating_cycle(k: int) -> ColoredDigraph:
     return ColoredDigraph(two_k, edges)
 
 
-def quotient(g: ColoredDigraph, partition: SetPartition) -> ColoredDigraph:
-    """Merge the vertices inside each block of ``partition``, keeping all edges.
+def quotient(g: ColoredDigraph, rgs: tuple[int, ...]) -> ColoredDigraph:
+    """Merge the vertices inside each block of the restricted growth string ``rgs``.
 
-    The result has one vertex per block; the edge list keeps its length,
-    order, and colors, with endpoints remapped to block indices.
+    The result has one vertex per block and keeps every edge, in order and
+    with its color, with endpoints remapped to block indices.
     """
-    if partition.size != g.vertex_count:
+    if len(rgs) != g.vertex_count:
         raise ValueError(
-            f"partition of {partition.size} elements does not match {g.vertex_count} vertices"
+            f"partition of {len(rgs)} elements does not match {g.vertex_count} vertices"
         )
-    rgs = partition.rgs
+    blocks = 0
+    for i, b in enumerate(rgs):
+        if not 0 <= b <= blocks:
+            raise ValueError(f"not a restricted growth string at position {i}: {rgs}")
+        if b == blocks:
+            blocks += 1
     edges = tuple((rgs[t], rgs[h], c) for t, h, c in g.edges)
-    return ColoredDigraph(partition.block_count, edges)
+    return ColoredDigraph(blocks, edges)
 
 
 def is_ddcg(g: ColoredDigraph) -> bool:
@@ -262,6 +233,25 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
     for (a, b), ways in _block_grid(g).items():
         for t in range(min(a, b) + 1):
             counts[a + b - t] += ways * math.comb(a, t) * math.comb(b, t) * math.factorial(t)
+    return counts
+
+
+def balanced_quotient_counts_brute(g: ColoredDigraph) -> list[int]:
+    """``balanced_quotient_counts`` by walking every partition of the vertices.
+
+    Each restricted growth string quotients ``g``, and ``is_ddcg`` tests the
+    quotient, so this shares only the balance predicate with the engine.
+    Raises ScaleLimitError above LATTICE_MAX_VERTICES vertices, before it
+    walks.
+    """
+    if g.vertex_count > LATTICE_MAX_VERTICES:
+        raise ScaleLimitError(f"partition-lattice oracle limited to {LATTICE_MAX_VERTICES} "
+                              f"vertices (got {g.vertex_count})")
+    counts = [0] * (g.vertex_count + 1)
+    for rgs in iter_partitions(g.vertex_count):
+        q = quotient(g, rgs)
+        if is_ddcg(q):
+            counts[q.vertex_count] += 1
     return counts
 
 

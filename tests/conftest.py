@@ -56,12 +56,14 @@ def no_counting(monkeypatch):
 
 @pytest.fixture
 def one_block_too_many(monkeypatch):
-    """An engine that finds one balanced quotient of a 2k-cycle with k + 2 blocks."""
-    real = graphs.balanced_quotient_counts
+    """An engine and a lattice oracle that find one balanced quotient of a 2k-cycle
+    with k + 2 blocks."""
+    for name in ("balanced_quotient_counts", "balanced_quotient_counts_brute"):
+        real = getattr(graphs, name)
 
-    def counts(g):
-        out = real(g)
-        out[g.vertex_count // 2 + 2] += 1
-        return out
+        def counts(g, real=real):
+            out = real(g)
+            out[g.vertex_count // 2 + 2] += 1
+            return out
 
-    monkeypatch.setattr(graphs, "balanced_quotient_counts", counts)
+        monkeypatch.setattr(graphs, name, counts)

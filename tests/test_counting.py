@@ -7,13 +7,9 @@ import pytest
 from unimoments import (
     InternalCheckError,
     ScaleLimitError,
-    alternating_cycle,
     count_brute,
     count_ddcg_partitions,
     ftable_row,
-    is_ddcg,
-    iter_partitions,
-    quotient,
 )
 from unimoments import counting, graphs
 
@@ -94,17 +90,7 @@ class TestInternalConsistency:
         for k in (1, 2, 3):
             count_brute(k)  # raises InternalCheckError on violation
 
-    def test_engine_blocks_past_k_plus_one_are_refused(self, one_block_too_many):
+    @pytest.mark.parametrize("counter", [count_ddcg_partitions, count_brute])
+    def test_blocks_past_k_plus_one_are_refused(self, one_block_too_many, counter):
         with pytest.raises(InternalCheckError, match="impossible block counts"):
-            count_ddcg_partitions(3)
-
-    def test_search_counts_match_bucket_sum(self):
-        # total accepted leaves equal the number of balanced-quotient partitions
-        for k in (1, 2, 3):
-            total = sum(count_ddcg_partitions(k))
-            balanced = sum(
-                1
-                for p in iter_partitions(2 * k)
-                if is_ddcg(quotient(alternating_cycle(k), p))
-            )
-            assert total == balanced
+            counter(3)

@@ -13,9 +13,9 @@ from unimoments import (
     Color,
     ColoredDigraph,
     ScaleLimitError,
-    SetPartition,
     alternating_cycle,
     balanced_quotient_counts,
+    balanced_quotient_counts_brute,
     ftable_row,
     injective_traffic_brute,
     injective_traffic_value,
@@ -79,26 +79,21 @@ def rgs_strings(draw, n):
     return tuple(rgs)
 
 
-class TestSetPartition:
-    def test_rgs_validation(self):
-        with pytest.raises(ValueError):
-            SetPartition((1, 0))
-        with pytest.raises(ValueError):
-            SetPartition((0, 2))
-        with pytest.raises(ValueError):
-            SetPartition((0, -1))
-
-    def test_blocks_and_counts(self):
-        p = SetPartition((0, 1, 0, 2))
-        assert p.block_count == 3
-        assert p.blocks() == [[0, 2], [1], [3]]
-        assert p.size == 4
-
+class TestIterPartitions:
     @pytest.mark.parametrize("n", range(7))
-    def test_iter_partitions_hits_bell(self, n):
+    def test_hits_bell_with_distinct_strings(self, n):
         parts = list(iter_partitions(n))
         assert len(parts) == BELL[n]
-        assert len({p.rgs for p in parts}) == len(parts)
+        assert len(set(parts)) == len(parts)
+        assert all(type(p) is tuple and len(p) == n for p in parts)
+
+    def test_yields_restricted_growth_strings_in_order(self):
+        assert list(iter_partitions(3)) == [
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+
+    def test_negative_size_refused(self):
+        with pytest.raises(ValueError):
+            list(iter_partitions(-1))
 
 
 class TestAlternatingCycle:
@@ -127,27 +122,32 @@ class TestAlternatingCycle:
 
 class TestQuotient:
     def test_merge_opposite_cycle_vertices(self):
-        g = quotient(alternating_cycle(2), SetPartition((0, 1, 0, 2)))
+        g = quotient(alternating_cycle(2), (0, 1, 0, 2))
         assert g.vertex_count == 3
         assert g.edges == ((0, 1, R), (1, 0, B), (0, 2, R), (2, 0, B))
 
     def test_singleton_partition_is_identity(self):
         g = alternating_cycle(3)
-        assert quotient(g, SetPartition(tuple(range(6)))) == g
+        assert quotient(g, tuple(range(6))) == g
 
     def test_full_merge_gives_loops(self):
-        g = quotient(alternating_cycle(1), SetPartition((0, 0)))
+        g = quotient(alternating_cycle(1), (0, 0))
         assert g.vertex_count == 1
         assert g.edges == ((0, 0, R), (0, 0, B))
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            quotient(alternating_cycle(2), SetPartition((0, 1, 0)))
+        with pytest.raises(ValueError, match="3 elements"):
+            quotient(alternating_cycle(2), (0, 1, 0))
+
+    @pytest.mark.parametrize("rgs", [(1, 0), (0, 2), (0, -1)])
+    def test_non_restricted_growth_string_rejected(self, rgs):
+        with pytest.raises(ValueError, match="restricted growth string"):
+            quotient(alternating_cycle(1), rgs)
 
     @given(colored_digraphs(), st.data())
     def test_preserves_edge_list_shape(self, g, data):
         rgs = data.draw(rgs_strings(g.vertex_count))
-        q = quotient(g, SetPartition(rgs))
+        q = quotient(g, rgs)
         assert q.edge_count == g.edge_count
         for (t1, h1, c1), (t2, h2, c2) in zip(g.edges, q.edges):
             assert c2 == c1
@@ -156,10 +156,10 @@ class TestQuotient:
 
 class TestIsDdcg:
     def test_balanced_three_vertex_quotient(self):
-        assert is_ddcg(quotient(alternating_cycle(2), SetPartition((0, 1, 0, 2))))
+        assert is_ddcg(quotient(alternating_cycle(2), (0, 1, 0, 2)))
 
     def test_unmatched_red_loop(self):
-        assert not is_ddcg(quotient(alternating_cycle(2), SetPartition((0, 0, 1, 2))))
+        assert not is_ddcg(quotient(alternating_cycle(2), (0, 0, 1, 2)))
 
     def test_loop_pair_balances(self):
         assert is_ddcg(ColoredDigraph(1, ((0, 0, R), (0, 0, B))))
@@ -184,11 +184,11 @@ class TestIsDdcg:
 
 class TestInjectiveTrafficValue:
     def test_pochhammer_over_n(self):
-        g = quotient(alternating_cycle(2), SetPartition((0, 1, 0, 2)))  # balanced, 3 vertices
+        g = quotient(alternating_cycle(2), (0, 1, 0, 2))  # balanced, 3 vertices
         assert injective_traffic_value(g, 5) == Fraction(5 * 4 * 3, 5) == 12
 
     def test_unbalanced_vanishes(self):
-        g = quotient(alternating_cycle(2), SetPartition((0, 0, 1, 2)))
+        g = quotient(alternating_cycle(2), (0, 0, 1, 2))
         for n in (1, 2, 7):
             assert injective_traffic_value(g, n) == 0
 
@@ -228,15 +228,6 @@ class TestTauViaQuotients:
             assert tau_via_quotients(ColoredDigraph(14, ()), n) == n**13
 
 
-def lattice_counts(g):
-    """Balanced quotients by block count, walking the whole partition lattice."""
-    counts = [0] * (g.vertex_count + 1)
-    for p in iter_partitions(g.vertex_count):
-        if is_ddcg(quotient(g, p)):
-            counts[p.block_count] += 1
-    return counts
-
-
 class TestBalancedQuotientCounts:
     @settings(deadline=None, max_examples=200)
     @given(colored_digraphs(max_vertices=7, max_edges=8, min_vertices=0))
@@ -245,7 +236,7 @@ class TestBalancedQuotientCounts:
     @example(ColoredDigraph(4, ((1, 2, R), (1, 2, R), (2, 1, B), (2, 1, B))))
     @example(ColoredDigraph(2, ((0, 1, R), (0, 1, B))))  # sided only if a color's roles flip
     def test_matches_partition_lattice(self, g):
-        assert balanced_quotient_counts(g) == lattice_counts(g)
+        assert balanced_quotient_counts(g) == balanced_quotient_counts_brute(g)
 
     @settings(deadline=None, max_examples=200)
     @given(role_consistent_digraphs())
@@ -253,7 +244,12 @@ class TestBalancedQuotientCounts:
     @example(ColoredDigraph(5, ((1, 0, R), (1, 0, R), (0, 1, B), (0, 1, B), (3, 2, R),
                                 (2, 3, B))))  # parallel edges and an isolated vertex
     def test_rows_and_columns_match_partition_lattice(self, g):
-        assert balanced_quotient_counts(g) == lattice_counts(g)
+        assert balanced_quotient_counts(g) == balanced_quotient_counts_brute(g)
+
+    def test_lattice_oracle_refuses_before_it_walks(self, monkeypatch):
+        monkeypatch.setattr(graphs, "iter_partitions", lambda n: pytest.fail("walked"))
+        with pytest.raises(ScaleLimitError, match="12 vertices"):
+            balanced_quotient_counts_brute(ColoredDigraph(13, ()))
 
     def test_vertex_classes(self):
         assert graphs._vertex_classes(alternating_cycle(2)) == [1, 0, 1, 0]
@@ -350,13 +346,13 @@ class TestBruteOracles:
         assert abs(mean - 2) <= 4 * se + 1e-9
 
     def test_injective_matches_exact_value(self):
-        g = quotient(alternating_cycle(2), SetPartition((0, 1, 0, 2)))
+        g = quotient(alternating_cycle(2), (0, 1, 0, 2))
         mean, se = injective_traffic_brute(g, 3, 3000, seed=5, with_stderr=True)
         exact = injective_traffic_value(g, 3)  # (3)_3 / 3 = 2
         assert abs(mean - float(exact)) <= 4 * se + 1e-9
 
     def test_injective_vanishes_when_unbalanced(self):
-        g = quotient(alternating_cycle(2), SetPartition((0, 0, 1, 2)))
+        g = quotient(alternating_cycle(2), (0, 0, 1, 2))
         mean, se = injective_traffic_brute(g, 3, 3000, seed=6, with_stderr=True)
         assert abs(mean) <= 4 * se + 1e-9
 
@@ -440,3 +436,8 @@ class TestColoredDigraphValidation:
     def test_bad_color(self):
         with pytest.raises(ValueError):
             ColoredDigraph(2, ((0, 1, "red"),))
+
+    @pytest.mark.parametrize("vertex_count", [2.5, "2", None, -1])
+    def test_bad_vertex_count(self, vertex_count):
+        with pytest.raises(ValueError, match="vertex_count"):
+            ColoredDigraph(vertex_count, ())
