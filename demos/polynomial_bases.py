@@ -2,8 +2,9 @@
 
 The k-th mean spectral moment of rho = U U* / N^2 is Q_k(N) / N^(2k+1).
 Q_k arrives with falling-factorial coefficients (the balanced-quotient
-counts); converting to ordinary powers of N uses elementary symmetric
-polynomials one way and Stirling numbers the other.
+counts); converting to ordinary powers of N is a Horner expansion of the
+nested form N (b_1 + (N-1) (b_2 + ...)), and the way back is synthetic
+division by N - 1, N - 2, ...
 """
 
 import math

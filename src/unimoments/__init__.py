@@ -35,13 +35,11 @@ from .montecarlo import (
 from .polynomials import (
     borel_entry,
     conjectured_ftable,
-    elementary_symmetric,
     exact_moment,
     find_disproof,
     ftable_row,
     monomial_to_pochhammer,
     pochhammer_to_monomial,
-    stirling2,
 )
 
 __version__ = "0.1.0"
@@ -63,8 +61,6 @@ __all__ = [
     "count_brute",
     "pochhammer_to_monomial",
     "monomial_to_pochhammer",
-    "stirling2",
-    "elementary_symmetric",
     "borel_entry",
     "conjectured_ftable",
     "exact_moment",

@@ -89,8 +89,9 @@ class ColoredDigraph:
         if not isinstance(self.vertex_count, int) or self.vertex_count < 0:
             raise ValueError(f"vertex_count must be a nonnegative int, got {self.vertex_count!r}")
         for tail, head, color in self.edges:
-            if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
-                raise ValueError(f"edge ({tail}, {head}) out of range for {self.vertex_count} vertices")
+            if not (isinstance(tail, int) and isinstance(head, int)
+                    and 0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
+                raise ValueError(f"edge ({tail}, {head}): endpoints must be ints in range({self.vertex_count})")
             if not isinstance(color, Color):
                 raise ValueError(f"edge color must be a Color, got {color!r}")
 
@@ -152,7 +153,7 @@ def quotient(g: ColoredDigraph, rgs: tuple[int, ...]) -> ColoredDigraph:
         )
     blocks = 0
     for i, b in enumerate(rgs):
-        if not 0 <= b <= blocks:
+        if not (isinstance(b, int) and 0 <= b <= blocks):
             raise ValueError(f"not a restricted growth string at position {i}: {rgs}")
         if b == blocks:
             blocks += 1

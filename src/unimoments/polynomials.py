@@ -3,8 +3,10 @@
 The k-th mean spectral moment of the squared ensemble is Q_k(N) / N^(2k+1)
 where Q_k has integer coefficients.  Q_k arrives naturally in the falling
 factorial basis, with the balanced-quotient counts F(2k, j) as coefficients;
-this module converts between that basis and ordinary powers of N (both
-directions, exactly), sums exact moments straight from a count row, and
+this module converts between that basis and ordinary powers of N in both
+directions (Horner expansion one way, synthetic division the other, both
+in the Newton basis with nodes 0, 1, 2, ... and both checked by exact
+evaluation), sums exact moments straight from a count row, and
 evaluates the Borel-triangle closed form that was once believed to produce
 the same numbers.  Everything is arbitrary-precision integer or rational
 arithmetic; no floats.
@@ -16,6 +18,7 @@ is the coefficient of (N)_(i+1) or N^(i+1).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,8 +26,6 @@ from . import counting
 from .errors import InternalCheckError
 
 __all__ = [
-    "stirling2",
-    "elementary_symmetric",
     "pochhammer_to_monomial",
     "monomial_to_pochhammer",
     "borel_entry",
@@ -34,68 +35,54 @@ __all__ = [
     "find_disproof",
 ]
 
-@lru_cache(maxsize=None)
-def stirling2(n: int, j: int) -> int:
-    """Stirling number of the second kind: partitions of an n-set into j blocks."""
-    if n < 0 or j < 0:
-        raise ValueError("arguments must be nonnegative")
-    if n == 0 or j == 0:
-        return 1 if n == j else 0
-    if j > n:
-        return 0
-    return stirling2(n - 1, j - 1) + j * stirling2(n - 1, j)
 
+def _check_bases(a: list[int], b: list[int]) -> None:
+    """Raise InternalCheckError unless sum_j a[j] x^j == sum_j b[j] (x)_j at x = 1..2n+1.
 
-@lru_cache(maxsize=None)
-def elementary_symmetric(m: int, n: int) -> int:
-    """e_m(1, 2, ..., n): sum of products of m distinct values from 1..n."""
-    if m < 0 or n < 0:
-        raise ValueError("arguments must be nonnegative")
-    if m == 0:
-        return 1
-    if m > n:
-        return 0
-    return elementary_symmetric(m, n - 1) + n * elementary_symmetric(m - 1, n - 1)
-
-
-def pochhammer_to_monomial(b) -> list[int]:
-    """Coefficients on powers of x for the polynomial sum_j b[j] (x)_j.
-
-    a_j = sum_{r >= j} (-1)^(r-j) e_(r-j)(1, ..., r-1) b_r, from expanding
-    each falling factorial by the Vieta relations.  Both bases are evaluated
-    exactly at x = 1..2 len(b) + 1 before returning; a mismatch means a bug,
-    not bad input, and raises InternalCheckError.
+    A mismatch means a bug in a conversion, not bad input.
     """
-    b = [int(x) for x in b]
-    n = len(b)
-    a = [
-        sum(
-            (-1) ** (r - j) * elementary_symmetric(r - j, r - 1) * b[r - 1]
-            for r in range(j, n + 1)
-        )
-        for j in range(1, n + 1)
-    ]
-    for x in range(1, 2 * n + 2):
+    for x in range(1, 2 * len(b) + 2):
         via_monomial = sum(c * x ** j for j, c in enumerate(a, start=1))
         via_pochhammer = sum(c * math.perm(x, j) for j, c in enumerate(b, start=1))
         if via_monomial != via_pochhammer:
             raise InternalCheckError(
                 f"basis mismatch at x={x}: {via_monomial} != {via_pochhammer}"
             )
+
+
+def pochhammer_to_monomial(b) -> list[int]:
+    """Coefficients on powers of x for the polynomial sum_j b[j] (x)_j.
+
+    Horner's rule in the Newton basis: x (b_1 + (x-1) (b_2 + ... + (x-n+1) b_n))
+    is expanded from the inside, one multiplication by (x - j) and one added
+    b_j per coefficient.  Integer coefficients only (``operator.index``);
+    the result is checked by exact evaluation before it is returned.
+    """
+    b = [operator.index(c) for c in b]
+    a: list[int] = []  # sum_j b_j (x)_j / x, built from the inside, from x^0 up
+    for j in range(len(b), 0, -1):
+        a = [hi - j * lo for hi, lo in zip([b[j - 1]] + a, a + [0])]
+    _check_bases(a, b)
     return a
 
 
 def monomial_to_pochhammer(a) -> list[int]:
     """Coefficients on falling factorials for sum_j a[j] x^j.
 
-    b_j = sum_{r >= j} S(r, j) a_r via the Stirling expansion of x^r.
+    Synthetic division: (sum_j a_j x^j) / x is divided by x - 1, x - 2, ...
+    in turn, and remainder j is the coefficient of (x)_j.  Integer
+    coefficients only (``operator.index``); the result is checked by exact
+    evaluation before it is returned.
     """
-    a = [int(x) for x in a]
-    n = len(a)
-    return [
-        sum(stirling2(r, j) * a[r - 1] for r in range(j, n + 1))
-        for j in range(1, n + 1)
-    ]
+    a = [operator.index(c) for c in a]
+    q = a[::-1]  # the dividend, highest power first
+    b = []
+    for j in range(1, len(q) + 1):
+        for i in range(1, len(q)):
+            q[i] += j * q[i - 1]
+        b.append(q.pop())
+    _check_bases(a, b)
+    return b
 
 
 def borel_entry(k: int, j: int) -> int:
@@ -112,8 +99,8 @@ def conjectured_ftable(k: int) -> list[int]:
     """The Borel-triangle prediction for [F(2k, 1), ..., F(2k, k+1)].
 
     The conjectured Q_k is sum_j (-1)^(k-j+1) f(k-1, k-j+1) N^j, f the Borel
-    triangle; its monomial coefficients go through the Stirling change of
-    basis.  Agrees with the exact counts for k <= 5 and diverges from k = 6 on.
+    triangle; its monomial coefficients are converted to falling factorials
+    by ``monomial_to_pochhammer``.  Agrees with the exact counts for k <= 5 and diverges from k = 6 on.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")

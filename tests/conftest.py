@@ -1,6 +1,8 @@
 """Shared fixtures."""
 
+import math
 import os
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -67,3 +69,12 @@ def one_block_too_many(monkeypatch):
             return out
 
         monkeypatch.setattr(graphs, name, counts)
+
+
+@pytest.fixture
+def perm_off_by_one(monkeypatch):
+    """A ``math`` in ``polynomials`` whose ``perm(n, 1)`` is one too large, so that
+    every basis check of a nonzero polynomial finds a mismatch."""
+    faulty = types.SimpleNamespace(**vars(math))
+    faulty.perm = lambda n, k: math.perm(n, k) + (k == 1)
+    monkeypatch.setattr(polynomials, "math", faulty)

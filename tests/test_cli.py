@@ -8,7 +8,7 @@ import math
 import jsonschema
 import pytest
 
-from unimoments import cli, counting, graphs, montecarlo, polynomials
+from unimoments import cli, counting, graphs, montecarlo
 
 
 def run_cli(capsys, *argv):
@@ -289,11 +289,10 @@ class TestExitCodes:
         monkeypatch.setattr(montecarlo, "HERMITIAN_DRIFT_TOL", -1.0)
         assert cli.main(["mc", "--n", "2", "--k", "1", "--samples", "100"]) == 4
 
-    def test_internal_failure_in_the_basis_conversion(self, capsys, monkeypatch):
-        original = polynomials.elementary_symmetric
-        monkeypatch.setattr(polynomials, "elementary_symmetric",
-                            lambda m, n: original(m, n) + (m == 1))
-        assert cli.main(["poly", "--k", "3"]) == 4
+    @pytest.mark.parametrize("argv", [["poly", "--k", "3"], ["conjecture", "--k-max", "3"]],
+                             ids=["poly", "conjecture"])
+    def test_internal_failure_in_the_basis_conversion(self, capsys, perm_off_by_one, argv):
+        assert cli.main(argv) == 4
 
 
 MC_ARGS = ("mc", "--n", "4", "--k", "2", "--seed", "3")

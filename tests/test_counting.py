@@ -85,11 +85,6 @@ class TestCountRows:
 
 
 class TestInternalConsistency:
-    def test_blocks_never_exceed_k_plus_one(self):
-        # brute search keeps full buckets; anything past k+1 trips a check
-        for k in (1, 2, 3):
-            count_brute(k)  # raises InternalCheckError on violation
-
     @pytest.mark.parametrize("counter", [count_ddcg_partitions, count_brute])
     def test_blocks_past_k_plus_one_are_refused(self, one_block_too_many, counter):
         with pytest.raises(InternalCheckError, match="impossible block counts"):

@@ -21,8 +21,8 @@ from unimoments import (
     injective_traffic_value,
     is_ddcg,
     iter_partitions,
+    monomial_to_pochhammer,
     quotient,
-    stirling2,
     tau_via_quotients,
     traffic_state_brute,
 )
@@ -139,7 +139,7 @@ class TestQuotient:
         with pytest.raises(ValueError, match="3 elements"):
             quotient(alternating_cycle(2), (0, 1, 0))
 
-    @pytest.mark.parametrize("rgs", [(1, 0), (0, 2), (0, -1)])
+    @pytest.mark.parametrize("rgs", [(1, 0), (0, 2), (0, -1), (0, 0.5)])
     def test_non_restricted_growth_string_rejected(self, rgs):
         with pytest.raises(ValueError, match="restricted growth string"):
             quotient(alternating_cycle(1), rgs)
@@ -285,7 +285,7 @@ class TestBalancedQuotientCounts:
         # 2E >= 256 or V >= 256 moves the packed state items to 4 bytes
         pairs = ColoredDigraph(2, ((0, 1, R),) * 64 + ((1, 0, B),) * 64)
         assert balanced_quotient_counts(pairs) == [0, 1, 1]
-        bell_256 = sum(stirling2(256, j) for j in range(257))
+        bell_256 = sum(monomial_to_pochhammer([0] * 255 + [1]))
         assert sum(balanced_quotient_counts(ColoredDigraph(256, ()))) == bell_256
 
 
@@ -429,9 +429,10 @@ class TestBruteAgainstQuotientSum:
 
 
 class TestColoredDigraphValidation:
-    def test_bad_endpoint(self):
+    @pytest.mark.parametrize("edges", [((0, 2, R),), ((0, 0.5, R), (0.5, 0, B))])
+    def test_bad_endpoint(self, edges):
         with pytest.raises(ValueError):
-            ColoredDigraph(2, ((0, 2, R),))
+            ColoredDigraph(2, edges)
 
     def test_bad_color(self):
         with pytest.raises(ValueError):

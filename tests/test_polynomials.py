@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,13 +14,11 @@ from unimoments import (
     ScaleLimitError,
     borel_entry,
     conjectured_ftable,
-    elementary_symmetric,
     exact_moment,
     find_disproof,
     ftable_row,
     monomial_to_pochhammer,
     pochhammer_to_monomial,
-    stirling2,
 )
 from unimoments import polynomials
 from unimoments.tables import CONJECTURED_COUNTS, REFERENCE_COUNTS
@@ -32,30 +31,30 @@ def moment_from_monomials(k, n, coeffs):
     return Fraction(sum(c * n**j for j, c in enumerate(coeffs, start=1)), n ** (2 * k + 1))
 
 
-int_vectors = st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=16)
+# up to 17 entries: a k = 16 row, the deepest the Monte Carlo powers need
+int_vectors = st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=17)
 
 
-class TestStirlingAndSymmetric:
+class TestKnownExpansions:
     def test_stirling_rows(self):
-        assert [stirling2(3, j) for j in (1, 2, 3)] == [1, 3, 1]
-        assert [stirling2(4, j) for j in (1, 2, 3, 4)] == [1, 7, 6, 1]
-        assert stirling2(5, 7) == 0
-        assert stirling2(0, 0) == 1
+        # x^n = sum_j S(n, j) (x)_j
+        assert monomial_to_pochhammer([0, 0, 1]) == [1, 3, 1]
+        assert monomial_to_pochhammer([0, 0, 0, 1]) == [1, 7, 6, 1]
+        assert monomial_to_pochhammer([]) == []
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_rows_sum_to_bell(self, n):
-        assert sum(stirling2(n, j) for j in range(1, n + 1)) == BELL[n]
+        assert sum(monomial_to_pochhammer([0] * (n - 1) + [1])) == BELL[n]
 
     def test_boundary_columns(self):
         for n in range(1, 12):
-            assert stirling2(n, 1) == 1
-            assert stirling2(n, n) == 1
+            row = monomial_to_pochhammer([0] * (n - 1) + [1])
+            assert row[0] == 1
+            assert row[-1] == 1
 
-    def test_elementary_symmetric_values(self):
-        # e_m(1, 2, 3): 1, 6, 11, 6
-        assert [elementary_symmetric(m, 3) for m in range(4)] == [1, 6, 11, 6]
-        assert elementary_symmetric(4, 3) == 0
-        assert elementary_symmetric(0, 0) == 1
+    def test_falling_factorial_of_order_four(self):
+        # (x)_4 = x^4 - e_1 x^3 + e_2 x^2 - e_3 x with e_m(1, 2, 3) = 6, 11, 6
+        assert pochhammer_to_monomial([0, 0, 0, 1]) == [-6, 11, -6, 1]
 
 
 class TestBasisConversion:
@@ -83,18 +82,29 @@ class TestBasisConversion:
         assert pochhammer_to_monomial(monomial_to_pochhammer(b)) == b
 
     @given(int_vectors, st.integers(1, 12))
-    def test_conversion_preserves_evaluation(self, b, n):
-        a = pochhammer_to_monomial(b)
-        via_b = sum(c * math.perm(n, j) for j, c in enumerate(b, start=1))
-        via_a = sum(c * n**j for j, c in enumerate(a, start=1))
-        assert via_a == via_b
+    def test_conversion_preserves_evaluation(self, coeffs, n):
+        for b, a in ((coeffs, pochhammer_to_monomial(coeffs)),
+                     (monomial_to_pochhammer(coeffs), coeffs)):
+            via_b = sum(c * math.perm(n, j) for j, c in enumerate(b, start=1))
+            via_a = sum(c * n**j for j, c in enumerate(a, start=1))
+            assert via_a == via_b
 
-    def test_faulty_conversion_is_caught(self, monkeypatch):
-        original = polynomials.elementary_symmetric
-        monkeypatch.setattr(polynomials, "elementary_symmetric",
-                            lambda m, n: original(m, n) + (m == 1))
+    @pytest.mark.parametrize("convert", [pochhammer_to_monomial, monomial_to_pochhammer])
+    def test_faulty_conversion_is_caught(self, perm_off_by_one, convert):
         with pytest.raises(InternalCheckError, match="basis mismatch"):
-            pochhammer_to_monomial([1, 5, 2])
+            convert([1, 5, 2])
+
+    @pytest.mark.parametrize("convert", [pochhammer_to_monomial, monomial_to_pochhammer])
+    @pytest.mark.parametrize("coeffs", [[2.5, 1], [0.9, 1], [Fraction(2), 1], ["1", 1]])
+    def test_non_integer_coefficients_refused(self, convert, coeffs):
+        with pytest.raises(TypeError):
+            convert(coeffs)
+
+    @pytest.mark.parametrize("convert", [pochhammer_to_monomial, monomial_to_pochhammer])
+    def test_numpy_integers_accepted(self, convert):
+        out = convert(np.array([1, 5, 2]))
+        assert out == convert([1, 5, 2])
+        assert all(type(c) is int for c in out)
 
 
 class TestMomentCoefficients:
