@@ -1,8 +1,12 @@
 """Monte Carlo validation of the exact spectral-moment polynomials.
 
 Samples matrices with i.i.d. unit-circle entries, forms the squared ensemble
-rho = U U* / N^2, and estimates E[tr(rho^k)] (normalized trace) to compare
-against the exact values.  No sample needs its spectrum: the products
+rho = U U* / N^2, and estimates E[tr(rho^k)] (normalized trace) to score
+against the exact value Q_k(N) / N^(2k+1).  Both entry points run one
+pipeline: check the inputs, compute every exact value (so that a row the
+engine refuses stops the run before any sample), sample each dimension once,
+and score each (n, k) as a ``MomentEstimate`` with its mean, standard error,
+exact value and z.  No sample needs its spectrum: the products
 rho^2 .. rho^ceil(k/2) serve every power up to k at once, and a Cholesky
 factorisation of rho - floor * I checks that no eigenvalue lies below the
 floor.
@@ -20,6 +24,7 @@ process: every stage of a batch is numpy work that releases the GIL.  Outside
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,12 +37,9 @@ from .sampling import unimodular_batch
 
 __all__ = [
     "MomentEstimate",
-    "ValidationEntry",
     "ValidationReport",
-    "check_inputs",
     "estimate_moment",
     "validate_against_exact",
-    "z_score",
 ]
 
 MAX_DIMENSION = 256
@@ -63,18 +65,8 @@ THREADED_DIMENSIONS = range(4, 64)
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Monte Carlo estimate of E[tr(rho^k)] at dimension n."""
+    """Monte Carlo estimate of E[tr(rho^k)] at dimension n, scored against the exact value."""
 
-    k: int
-    n: int
-    sample_count: int
-    mean: float
-    std_error: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class ValidationEntry:
     k: int
     n: int
     mean: float
@@ -87,9 +79,7 @@ class ValidationEntry:
 class ValidationReport:
     """Per-(k, n) z-scores of the Monte Carlo means against the exact moments."""
 
-    entries: tuple[ValidationEntry, ...]
-    sample_count: int
-    seed: int
+    entries: tuple[MomentEstimate, ...]
 
     @property
     def max_abs_z(self) -> float:
@@ -168,9 +158,11 @@ def _all_traces(n: int, powers: tuple[int, ...], samples: int, seed: int,
             starts)), axis=0)
 
 
-def check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
-                 samples: int, seed: int, workers: int | None) -> None:
-    """The bounds shared by every Monte Carlo entry point, and by the CLI before it counts."""
+def _check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
+                  samples: int, seed: int, workers: int | None) -> None:
+    """The bounds shared by every Monte Carlo entry point, checked before any count."""
+    for value in (*dimensions, *powers, samples, seed):
+        operator.index(value)  # a float is refused here, not after its exact row is counted
     if not dimensions or not all(1 <= n <= MAX_DIMENSION for n in dimensions):
         raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}")
     if not powers or not all(1 <= k <= MAX_POWER for k in powers):
@@ -179,19 +171,13 @@ def check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must be in [0, 2^64)")
-    if workers is not None and workers < 1:
+    if workers is not None and operator.index(workers) < 1:
         raise ValueError("workers must be >= 1")
     if samples * len(powers) > MAX_TRACES:
         raise ScaleLimitError(f"samples x powers must be at most {MAX_TRACES}")
 
 
-def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))
-    return mean, stderr
-
-
-def z_score(mean: float, std_error: float, exact: float) -> float:
+def _z_score(mean: float, std_error: float, exact: float) -> float:
     diff = mean - exact
     if abs(diff) <= DETERMINISTIC_DIFF_FLOOR:
         return 0.0
@@ -200,17 +186,31 @@ def z_score(mean: float, std_error: float, exact: float) -> float:
     return diff / std_error
 
 
+def _estimates(n_list: tuple[int, ...], powers: tuple[int, ...], samples: int, seed: int,
+               workers: int | None) -> tuple[MomentEstimate, ...]:
+    """One scored estimate per (n, k), n-major; one set of samples per dimension."""
+    _check_inputs(n_list, powers, samples, seed, workers)
+    # every exact value first, so that a missing row stops the run before sampling
+    exact = [[float(polynomials.exact_moment(k, n)) for k in powers] for n in n_list]
+    estimates = []
+    for n, row in zip(n_list, exact):
+        traces = _all_traces(n, powers, samples, seed, workers)
+        for k, value, column in zip(powers, row, traces.T):
+            mean = float(np.mean(column))
+            stderr = float(np.std(column, ddof=1) / math.sqrt(samples))
+            estimates.append(MomentEstimate(k=k, n=n, mean=mean, std_error=stderr, exact=value,
+                                            z=_z_score(mean, stderr, value)))
+    return tuple(estimates)
+
+
 def estimate_moment(n: int, k: int, samples: int, seed: int,
                     workers: int | None = None) -> MomentEstimate:
-    """Estimate E[tr(rho^k)] at dimension n from ``samples`` independent matrices.
+    """Estimate E[tr(rho^k)] at dimension n from ``samples`` independent matrices,
+    with its exact value and z-score.
 
     ``workers``, if given, caps the sampling threads; results do not depend on it.
     """
-    check_inputs((n,), (k,), samples, seed, workers)
-    values = _all_traces(n, (k,), samples, seed, workers)[:, 0]
-    mean, stderr = _mean_and_stderr(values)
-    return MomentEstimate(k=k, n=n, sample_count=samples, mean=mean,
-                          std_error=stderr, seed=seed)
+    return _estimates((n,), (k,), samples, seed, workers)[0]
 
 
 def validate_against_exact(k_max: int, n_list, samples: int, seed: int,
@@ -222,16 +222,5 @@ def validate_against_exact(k_max: int, n_list, samples: int, seed: int,
     least 95% of pairs sit within |z| <= 4 and none exceeds |z| = 6.
     ``workers`` is a cap, as in ``estimate_moment``.
     """
-    n_list = tuple(n_list)
-    powers = tuple(range(1, k_max + 1))
-    check_inputs(n_list, powers, samples, seed, workers)
-    # every exact value first, so that a missing row stops the sweep before sampling
-    exact = [[float(polynomials.exact_moment(k, n)) for k in powers] for n in n_list]
-    entries: list[ValidationEntry] = []
-    for n, row in zip(n_list, exact):
-        traces = _all_traces(n, powers, samples, seed, workers)
-        for k, value, column in zip(powers, row, traces.T):
-            mean, stderr = _mean_and_stderr(column)
-            entries.append(ValidationEntry(k=k, n=n, mean=mean, std_error=stderr,
-                                           exact=value, z=z_score(mean, stderr, value)))
-    return ValidationReport(entries=tuple(entries), sample_count=samples, seed=seed)
+    return ValidationReport(_estimates(tuple(n_list), tuple(range(1, k_max + 1)),
+                                       samples, seed, workers))

@@ -10,6 +10,8 @@ consecutive samples is one contiguous draw.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["unimodular_batch"]
@@ -23,8 +25,10 @@ def unimodular_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
 
     Entries are exp(i*theta) with theta uniform on [0, 2*pi); each theta uses
     one 64-bit word of the stream.  The seed must lie in [0, 2^64) so that no
-    two seeds share a stream.
+    two seeds share a stream.  All four arguments must be integers
+    (``operator.index``), so that a float seed is refused, not truncated.
     """
+    n, seed, start, count = map(operator.index, (n, seed, start, count))
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
     if not 0 <= seed <= _MASK64:
@@ -34,8 +38,8 @@ def unimodular_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
     if count < 0:
         raise ValueError("sample count must be nonnegative")
     size = n * n
-    block, skip = divmod(int(start) * size, _PHILOX_BLOCK)
-    gen = np.random.Generator(np.random.Philox(key=int(seed), counter=block))
+    block, skip = divmod(start * size, _PHILOX_BLOCK)
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=block))
     angles = gen.uniform(0.0, 2.0 * np.pi, size=skip + count * size)[skip:]
     # cos and sin written straight into the output are exp(1j * angles) bit
     # for bit, without the complex temporary 1j * angles

@@ -1,11 +1,13 @@
 """CLI tests: payload content, schema validation, format parity, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
 from unimoments import cli, counting, graphs, montecarlo
@@ -168,16 +170,23 @@ class TestMcCommand:
             record.pop("runtime_ms")  # wall-clock, the one non-payload field
         assert first == second
 
+    def test_row_is_the_library_estimate(self, capsys):
+        record = run_json(capsys, "mc", "--n", "3", "--k", "4", "--samples", "500",
+                          "--seed", "11", "--workers", "1")
+        (row,) = record["results"]["rows"]
+        estimate = montecarlo.estimate_moment(3, 4, 500, seed=11)
+        assert row == {"samples": 500, "seed": 11, **dataclasses.asdict(estimate)}
+
 
 class TestStrictJson:
-    @pytest.mark.parametrize("mean, text", [(0.5, "inf"), (0.1, "-inf")])
+    @pytest.mark.parametrize("mean, text", [(0.5, "inf"), (0.125, "-inf")])
     def test_infinite_z_is_a_string(self, capsys, monkeypatch, mean, text):
-        # a zero standard error with a real difference scores z = +-inf
-        def degenerate(n, k, samples, seed, workers=None):
-            return montecarlo.MomentEstimate(k=k, n=n, sample_count=samples,
-                                             mean=mean, std_error=0.0, seed=seed)
+        # constant traces away from the exact 3/8 give a zero standard error
+        # with a real difference, which scores z = +-inf
+        def constant(n, powers, samples, seed, workers):
+            return np.full((samples, len(powers)), mean)
 
-        monkeypatch.setattr(montecarlo, "estimate_moment", degenerate)
+        monkeypatch.setattr(montecarlo, "_all_traces", constant)
         code, out = run_cli(capsys, "mc", "--n", "2", "--k", "2", "--samples", "100")
         assert code == 0
 

@@ -302,6 +302,11 @@ class TestBruteOracles:
         assert a == b
         assert a != traffic_state_brute(g, 2, 500, seed=10)
 
+    def test_float_seed_refused(self):
+        # truncated, seed 1.9 would run the stream of seed 1
+        with pytest.raises(TypeError):
+            traffic_state_brute(alternating_cycle(2), 2, 300, seed=1.9)
+
     def test_chunking_does_not_change_the_estimate(self, monkeypatch):
         # on these two graphs with loops, a lone sample summed on its own, or
         # masks broadcast along the samples, changed the last bits

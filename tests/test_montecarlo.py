@@ -11,11 +11,9 @@ from unimoments import (
     InternalCheckError,
     ScaleLimitError,
     estimate_moment,
-    exact_moment,
     validate_against_exact,
 )
 from unimoments import montecarlo
-from unimoments.montecarlo import z_score
 from unimoments.sampling import unimodular_batch
 
 
@@ -55,6 +53,13 @@ class TestSampler:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 unimodular_batch(2, seed=seed, start=0, count=1)
+
+    @pytest.mark.parametrize("argument", ["n", "seed", "start", "count"])
+    def test_non_integer_arguments_refused(self, argument):
+        # truncated, seed 1.5 would key the stream of seed 1
+        arguments = {"n": 2, "seed": 1, "start": 0, "count": 1, argument: 1.5}
+        with pytest.raises(TypeError):
+            unimodular_batch(**arguments)
 
 
 class TestStreamContract:
@@ -217,10 +222,11 @@ class TestEstimateMoment:
         assert pool_widths == [1, 2, 3] * 2
 
     def test_matches_exact_within_four_sigma(self):
-        for n, k in ((2, 2), (3, 2), (2, 3)):
+        for n, k, exact in ((2, 2, 3 / 8), (3, 2, 45 / 243), (2, 3, 5 / 16)):
             est = estimate_moment(n, k, 20_000, seed=31)
-            exact = float(exact_moment(k, n))
-            assert abs(est.mean - exact) <= 4 * est.std_error
+            assert est.exact == exact
+            assert est.z == (est.mean - exact) / est.std_error
+            assert abs(est.z) <= 4.0
 
     def test_stderr_scales_like_inverse_sqrt_samples(self):
         small = estimate_moment(3, 3, 1000, seed=5)
@@ -238,18 +244,26 @@ class TestEstimateMoment:
         for workers in (0, -1):
             with pytest.raises(ValueError, match="workers"):
                 estimate_moment(4, 2, 200, seed=0, workers=workers)
+        with pytest.raises(TypeError):
+            estimate_moment(4, 2, 200, seed=0, workers=1.5)
+
+    @pytest.mark.parametrize("n, k, seed", [(2.5, 13, 0), (2, 13.0, 0), (2, 13, 1.5)])
+    def test_non_integer_inputs_refused_before_counting(self, no_sampling, no_counting,
+                                                        n, k, seed):
+        with pytest.raises(TypeError):
+            estimate_moment(n, k, 400, seed=seed)
 
 
 class TestZScore:
     def test_deterministic_floor(self):
-        assert z_score(0.2, 0.0, 0.2) == 0.0
-        assert z_score(0.2 + 5e-13, 1e-16, 0.2) == 0.0
+        assert montecarlo._z_score(0.2, 0.0, 0.2) == 0.0
+        assert montecarlo._z_score(0.2 + 5e-13, 1e-16, 0.2) == 0.0
 
     def test_regular_ratio(self):
-        assert z_score(0.5, 0.1, 0.3) == pytest.approx(2.0)
+        assert montecarlo._z_score(0.5, 0.1, 0.3) == pytest.approx(2.0)
 
     def test_zero_stderr_with_real_difference(self):
-        assert z_score(1.0, 0.0, 0.5) == math.inf
+        assert montecarlo._z_score(1.0, 0.0, 0.5) == math.inf
 
 
 class TestValidateAgainstExact:
@@ -272,21 +286,29 @@ class TestValidateAgainstExact:
         with pytest.raises(ValueError):
             validate_against_exact(0, [2], 400, seed=1)
 
-    @pytest.mark.parametrize("k_max, n_list, samples, match", [
-        (2, [2], 1, "samples"),
-        (2, [2], 0, "samples"),
-        (2, [2, 300], 400, "dimension"),
-        (2, [0], 400, "dimension"),
-        (17, [2], 400, "power"),
-        (2, [], 400, "dimension"),
+    @pytest.mark.parametrize("k_max, n_list, samples, seed, error, match", [
+        (2, [2], 1, 1, ValueError, "samples"),
+        (2, [2], 0, 1, ValueError, "samples"),
+        (2, [2, 300], 400, 1, ValueError, "dimension"),
+        (2, [0], 400, 1, ValueError, "dimension"),
+        (17, [2], 400, 1, ValueError, "power"),
+        (2, [], 400, 1, ValueError, "dimension"),
+        (13, [2], 1000.5, 1, TypeError, "integer"),
+        (13, [2, 2.5], 400, 1, TypeError, "integer"),
+        (13, [2], 400, 1.5, TypeError, "integer"),
     ])
-    def test_shares_the_input_guard(self, no_sampling, k_max, n_list, samples, match):
-        with pytest.raises(ValueError, match=match):
-            validate_against_exact(k_max, n_list, samples, seed=1)
+    def test_shares_the_input_guard(self, no_sampling, no_counting, k_max, n_list, samples,
+                                    seed, error, match):
+        with pytest.raises(error, match=match):
+            validate_against_exact(k_max, n_list, samples, seed=seed)
 
-    def test_missing_exact_row_refused_before_sampling(self, no_sampling, tiny_layer_guard):
+    @pytest.mark.parametrize("run", [
+        lambda: estimate_moment(2, 12, 400, seed=1),
+        lambda: validate_against_exact(12, [2], 400, seed=1),
+    ], ids=["estimate_moment", "validate_against_exact"])
+    def test_missing_exact_row_refused_before_sampling(self, no_sampling, tiny_layer_guard, run):
         with pytest.raises(ScaleLimitError):
-            validate_against_exact(12, [2], 400, seed=1)
+            run()
 
     def test_fewer_than_one_worker_refused(self, no_sampling):
         with pytest.raises(ValueError, match="workers"):
@@ -306,13 +328,11 @@ class TestValidateAgainstExact:
         with pytest.raises(ScaleLimitError):
             validate_against_exact(6, [2, 3, 4, 8], bound // 6 + 1, seed=0)
         # the bound itself, the CLI's default and the benchmark's sweep pass
-        montecarlo.check_inputs((2,), (2,), bound, 0, None)
-        montecarlo.check_inputs((2,), (2,), 100_000, 0, None)
-        montecarlo.check_inputs((2, 3, 4, 8), tuple(range(1, 7)), 20_000, 0, None)
+        montecarlo._check_inputs((2,), (2,), bound, 0, None)
+        montecarlo._check_inputs((2,), (2,), 100_000, 0, None)
+        montecarlo._check_inputs((2, 3, 4, 8), tuple(range(1, 7)), 20_000, 0, None)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_first_computed_only_row(self, n):
         # 2k = 24 is the first row that no reference table holds
-        estimate = estimate_moment(n, 12, 20000, seed=3)
-        exact = float(exact_moment(12, n))
-        assert abs(z_score(estimate.mean, estimate.std_error, exact)) <= 4.0
+        assert abs(estimate_moment(n, 12, 20000, seed=3).z) <= 4.0
