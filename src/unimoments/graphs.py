@@ -13,16 +13,18 @@ exactly the ones that survive expectation over the unit circle, and each one
 contributes a falling factorial to the trace of the graph operation.  This
 module counts the balanced quotients of any colored graph exactly, bucketed
 by block count (``balanced_quotient_counts``), and evaluates traffic states
-from those counts.  Two kinds of independent oracle check it at small
-scale: the partition-lattice oracle ``balanced_quotient_counts_brute``,
-which walks ``iter_partitions`` through ``quotient`` and ``is_ddcg``, and
-brute-force Monte Carlo evaluators, which sum the edge-entry product of
-sampled matrices over every vertex map in one tensor contraction.
+at one n from the same search capped at n blocks per class.  Two kinds of
+independent oracle check it at small scale: the partition-lattice oracle
+``balanced_quotient_counts_brute``, which walks ``iter_partitions`` through
+``quotient`` and ``is_ddcg``, and brute-force Monte Carlo evaluators, which
+sum the edge-entry product of sampled matrices over every vertex map in one
+tensor contraction.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -256,8 +258,9 @@ def balanced_quotient_counts_brute(g: ColoredDigraph) -> list[int]:
     return counts
 
 
-def _block_grid(g: ColoredDigraph) -> dict[tuple[int, int], int]:
-    """G(a, b) of ``balanced_quotient_counts`` at each (a, b) where it is not 0.
+def _block_grid(g: ColoredDigraph, cap: int | None = None) -> dict[tuple[int, int], int]:
+    """G(a, b) of ``balanced_quotient_counts`` at each (a, b) where it is not 0,
+    with a, b <= ``cap`` if one is given.
 
     A forward dynamic program over the vertices in index order assigns each
     vertex a block of its class and applies every edge when its later
@@ -285,8 +288,16 @@ def _block_grid(g: ColoredDigraph) -> dict[tuple[int, int], int]:
       a state whose l1 exceeds the number of unplaced edges dies;
     * parity: for the same reason l1 always has the parity of the edges
       placed so far, so nothing balances when the edge count is odd.
+
+    The cap is exact too.  A class's block count never falls along a path,
+    so a path is dropped once a class has ``cap`` blocks and would open
+    another: the label r_c is skipped when r_c = cap, and the new block when
+    m_c = cap.  What is left is the uncapped grid restricted to a, b <= cap,
+    which is all that (n)_a (n)_b at n = cap can see.  No class has more
+    blocks than vertices, so without a cap it is ``g.vertex_count``.
     """
     vertex_count, edge_count = g.vertex_count, g.edge_count
+    cap = vertex_count if cap is None else cap
     if edge_count % 2:
         return {}
     classes = _vertex_classes(g)
@@ -314,13 +325,13 @@ def _block_grid(g: ColoredDigraph) -> dict[tuple[int, int], int]:
         active = [u for u in active + [v] if last_neighbour[u] > v]
         keep = [slot[u] for u in active]
         layer = _next_layer(layer, code, slot_classes, column, edges, keep, remaining,
-                            edge_count)
+                            edge_count, cap)
     # at most the one key with no active block and an empty ledger (l1 <= 0 edges left)
     return next(iter(layer.values()), {})
 
 
 def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, edges, keep,
-                remaining: int, offset: int) -> dict:
+                remaining: int, offset: int, cap: int) -> dict:
     """Place one vertex in every state of ``layer``; see _block_grid.
 
     ``slot_classes`` holds the class of each active vertex of a key of
@@ -344,8 +355,8 @@ def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, ed
             ledger[u, w] = balance
             l1 += abs(balance)
         # labels 0..r_c-1 are the labelled blocks of the new vertex's class;
-        # label r_c is an unlabelled block or a new one
-        for c in range(r + 1):
+        # label r_c is an unlabelled block or a new one, unless r_c = cap
+        for c in range(min(r + 1, cap)):
             blocks = labels + [c]
             child = dict(ledger)
             child_l1 = l1
@@ -393,8 +404,9 @@ def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, ed
                 m = b if new_class else a
                 if m > r:
                     merged[a, b] = merged.get((a, b), 0) + ways * (m - r)
-                grown = (a, b + 1) if new_class else (a + 1, b)
-                merged[grown] = merged.get(grown, 0) + ways
+                if m < cap:
+                    grown = (a, b + 1) if new_class else (a + 1, b)
+                    merged[grown] = merged.get(grown, 0) + ways
         if len(nxt) > MAX_LAYER_STATES:
             raise ScaleLimitError(
                 f"a balanced-quotient layer outgrew {MAX_LAYER_STATES} states"
@@ -403,11 +415,15 @@ def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, ed
 
 
 def tau_via_quotients(g: ColoredDigraph, n: int) -> Fraction:
-    """Exact traffic state of ``g``: the sum over balanced quotients of (n)_blocks / n."""
-    if n < 1:
+    """Exact traffic state of ``g``: the sum over balanced quotients of (n)_blocks / n.
+
+    Summed as G(a, b) (n)_a (n)_b / n over the block grid capped at n (see
+    ``balanced_quotient_counts``), since (n)_a = 0 for a > n.
+    """
+    if operator.index(n) < 1:
         raise ValueError("matrix dimension must be >= 1")
-    counts = balanced_quotient_counts(g)
-    return Fraction(sum(c * math.perm(n, j) for j, c in enumerate(counts)), n)
+    grid = _block_grid(g, n)
+    return Fraction(sum(w * math.perm(n, a) * math.perm(n, b) for (a, b), w in grid.items()), n)
 
 
 def _check_brute_scale(g: ColoredDigraph, n: int, samples: int):

@@ -3,13 +3,13 @@
 Samples matrices with i.i.d. unit-circle entries, forms the squared ensemble
 rho = U U* / N^2, and estimates E[tr(rho^k)] (normalized trace) to score
 against the exact value Q_k(N) / N^(2k+1).  Both entry points run one
-pipeline: check the inputs, compute every exact value (so that a row the
-engine refuses stops the run before any sample), sample each dimension once,
-and score each (n, k) as a ``MomentEstimate`` with its mean, standard error,
-exact value and z.  No sample needs its spectrum: the products
-rho^2 .. rho^ceil(k/2) serve every power up to k at once, and a Cholesky
-factorisation of rho - floor * I checks that no eigenvalue lies below the
-floor.
+pipeline: check the inputs, compute every exact value (so that an exact
+value the engine refuses stops the run before any sample), sample each
+dimension once, and score each (n, k) as a ``MomentEstimate`` with its
+mean, standard error, exact value and z.  No sample needs its spectrum:
+the products rho^2 .. rho^ceil(k/2) serve every power up to k at once, and
+a Cholesky factorisation of rho - floor * I checks that no eigenvalue lies
+below the floor.
 
 Determinism contract: sample i is a fixed slice of the seed's Philox stream
 (see ``sampling``), so per-sample traces depend only on (seed, sample index).
@@ -190,12 +190,15 @@ def _estimates(n_list: tuple[int, ...], powers: tuple[int, ...], samples: int, s
                workers: int | None) -> tuple[MomentEstimate, ...]:
     """One scored estimate per (n, k), n-major; one set of samples per dimension."""
     _check_inputs(n_list, powers, samples, seed, workers)
-    # every exact value first, so that a missing row stops the run before sampling
-    exact = [[float(polynomials.exact_moment(k, n)) for k in powers] for n in n_list]
+    # every exact value first, so that a refused one stops the run before sampling, and
+    # the largest n first, so that each k is searched once, at the widest cap it needs
+    exact = {(n, k): float(polynomials.exact_moment(k, n))
+             for n in sorted(n_list, reverse=True) for k in powers}
     estimates = []
-    for n, row in zip(n_list, exact):
+    for n in n_list:
         traces = _all_traces(n, powers, samples, seed, workers)
-        for k, value, column in zip(powers, row, traces.T):
+        for k, column in zip(powers, traces.T):
+            value = exact[n, k]
             mean = float(np.mean(column))
             stderr = float(np.std(column, ddof=1) / math.sqrt(samples))
             estimates.append(MomentEstimate(k=k, n=n, mean=mean, std_error=stderr, exact=value,

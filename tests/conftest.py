@@ -10,17 +10,23 @@ import pytest
 from unimoments import graphs, montecarlo, polynomials
 
 
+def clear_exact_caches():
+    """Empty the row cache and the cycle grids behind ``exact_moment``."""
+    polynomials.ftable_row.cache_clear()
+    polynomials.exact_moment.cache_clear()
+
+
 @pytest.fixture
 def tiny_layer_guard(monkeypatch):
     """A layer guard of 10 states, which refuses every row from 2k = 12 on.
 
-    The row cache is emptied first, so that no row computed under the real
+    The caches are emptied first, so that nothing computed under the real
     guard is served without a search.
     """
-    polynomials.ftable_row.cache_clear()
+    clear_exact_caches()
     monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 10)
     yield
-    polynomials.ftable_row.cache_clear()
+    clear_exact_caches()
 
 
 @pytest.fixture
@@ -48,12 +54,27 @@ def no_sampling(monkeypatch):
 
 @pytest.fixture
 def no_counting(monkeypatch):
-    """An engine that refuses to count, behind an empty row cache."""
-    def refuse(g):
+    """An engine that refuses to count, behind empty caches."""
+    def refuse(g, cap=None):
         raise AssertionError("the engine was called")
 
-    polynomials.ftable_row.cache_clear()  # so that no cached row hides a count
-    monkeypatch.setattr(graphs, "balanced_quotient_counts", refuse)
+    clear_exact_caches()  # so that nothing cached hides a count
+    monkeypatch.setattr(graphs, "_block_grid", refuse)
+
+
+@pytest.fixture
+def block_grid_calls(monkeypatch):
+    """The (k, cap) of each 2k-cycle search the engine makes, behind empty caches."""
+    calls = []
+    real = graphs._block_grid
+
+    def recorded(g, cap=None):
+        calls.append((g.vertex_count // 2, cap))
+        return real(g, cap)
+
+    clear_exact_caches()
+    monkeypatch.setattr(graphs, "_block_grid", recorded)
+    return calls
 
 
 @pytest.fixture

@@ -227,6 +227,43 @@ class TestTauViaQuotients:
         for n in (1, 2, 5):
             assert tau_via_quotients(ColoredDigraph(14, ()), n) == n**13
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2"])
+    def test_non_integer_dimension_refused_before_the_search(self, no_counting, n):
+        with pytest.raises(TypeError):
+            tau_via_quotients(alternating_cycle(3), n)
+
+
+def restricted(grid, cap):
+    return {(a, b): w for (a, b), w in grid.items() if a <= cap and b <= cap}
+
+
+class TestBlockCap:
+    """The engine capped at c blocks per class is the uncapped grid restricted to a, b <= c."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.one_of(colored_digraphs(max_vertices=7, max_edges=8, min_vertices=0),
+                     role_consistent_digraphs()))
+    @example(ColoredDigraph(0, ()))
+    @example(alternating_cycle(3))
+    @example(ColoredDigraph(5, ((1, 0, R), (1, 0, R), (0, 1, B), (0, 1, B), (3, 2, R),
+                                (2, 3, B))))
+    @example(ColoredDigraph(4, ((1, 2, R), (1, 2, R), (2, 1, B), (2, 1, B))))
+    def test_capped_grid_is_the_restriction(self, g):
+        grid = graphs._block_grid(g)
+        for cap in range(1, g.vertex_count + 1):
+            assert graphs._block_grid(g, cap) == restricted(grid, cap)
+        counts = balanced_quotient_counts(g)
+        for n in range(1, g.vertex_count + 2):
+            expected = Fraction(sum(c * math.perm(n, j) for j, c in enumerate(counts)), n)
+            assert tau_via_quotients(g, n) == expected
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_capped_cycle_grid_is_the_restriction(self, k):
+        g = alternating_cycle(k)
+        grid = graphs._block_grid(g)
+        for cap in range(1, k + 1):
+            assert graphs._block_grid(g, cap) == restricted(grid, cap)
+
 
 class TestBalancedQuotientCounts:
     @settings(deadline=None, max_examples=200)

@@ -13,7 +13,7 @@ from unimoments import (
     estimate_moment,
     validate_against_exact,
 )
-from unimoments import montecarlo
+from unimoments import montecarlo, polynomials
 from unimoments.sampling import unimodular_batch
 
 
@@ -302,13 +302,28 @@ class TestValidateAgainstExact:
         with pytest.raises(error, match=match):
             validate_against_exact(k_max, n_list, samples, seed=seed)
 
+    # at n >= k the cap of the exact value's search is k, which caps nothing
     @pytest.mark.parametrize("run", [
-        lambda: estimate_moment(2, 12, 400, seed=1),
-        lambda: validate_against_exact(12, [2], 400, seed=1),
+        lambda: estimate_moment(16, 12, 400, seed=1),
+        lambda: validate_against_exact(12, [16], 400, seed=1),
     ], ids=["estimate_moment", "validate_against_exact"])
     def test_missing_exact_row_refused_before_sampling(self, no_sampling, tiny_layer_guard, run):
         with pytest.raises(ScaleLimitError):
             run()
+
+    def test_exact_value_at_small_n_searches_below_the_guard(self, tiny_layer_guard):
+        # capped at n = 2, the 2k = 24 search fits in the 10 states the whole row outgrows
+        estimate = estimate_moment(2, 12, 400, seed=1)
+        assert estimate.exact == math.comb(24, 12) / 4**12
+
+    def test_each_power_is_searched_once(self, block_grid_calls):
+        validate_against_exact(6, (2, 3, 4, 8), 100, seed=0)
+        assert sorted(k for k, _ in block_grid_calls) == [1, 2, 3, 4, 5, 6]
+
+    def test_exact_value_at_small_n_builds_no_row(self, monkeypatch, block_grid_calls):
+        monkeypatch.setattr(polynomials, "ftable_row", lambda k: pytest.fail("built the row"))
+        estimate_moment(4, 16, 100, seed=0)
+        assert block_grid_calls == [(16, 4)]
 
     def test_fewer_than_one_worker_refused(self, no_sampling):
         with pytest.raises(ValueError, match="workers"):

@@ -263,6 +263,11 @@ class TestExactMoment:
         with pytest.raises(ValueError):
             exact_moment(k, n)
 
+    @pytest.mark.parametrize("k, n", [(3, 2.0), (3, 2.5), (3.0, 2), (3, "2")])
+    def test_non_integer_arguments_refused_before_the_search(self, no_counting, k, n):
+        with pytest.raises(TypeError):
+            exact_moment(k, n)
+
 
 def test_thousand_random_round_trips():
     rng = random.Random(20240817)
