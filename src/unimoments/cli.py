@@ -169,13 +169,13 @@ def _cmd_count(args):
     if args.brute and max(ks) > counting.BRUTE_MAX_K:
         # refuse before the oracle spends minutes on the smaller k
         raise ScaleLimitError(f"brute-force oracle limited to k <= {counting.BRUTE_MAX_K}")
-    rows = []
-    for k in ks:
-        row = counting.count_brute(k) if args.brute else counting.count_ddcg_partitions(k)
-        rows.extend(
-            {"two_k": 2 * k, "j": j, "count": c}
-            for j, c in enumerate(row, start=1)
-        )
+    counts = ([counting.count_brute(k) for k in ks] if args.brute
+              else counting.count_ddcg_rows(ks))
+    rows = [
+        {"two_k": 2 * k, "j": j, "count": c}
+        for k, row in zip(ks, counts)
+        for j, c in enumerate(row, start=1)
+    ]
     return {"k": ks, "brute": args.brute}, {"rows": rows}
 
 
@@ -193,15 +193,16 @@ def _cmd_poly(args):
 def _cmd_conjecture(args):
     if args.k_max < 1:
         raise ValueError("--k-max must be >= 1")
+    # find_disproof first: it searches every row at once, and the rows below reuse them
+    disproofs = [
+        {"k": k, "j": j, "conjectured": p, "actual": a}
+        for k, j, p, a in polynomials.find_disproof(args.k_max)
+    ]
     rows = [
         {"two_k": 2 * k, "j": j, "conjectured": p, "actual": a, "match": p == a}
         for k in range(1, args.k_max + 1)
         for j, (p, a) in enumerate(zip(polynomials.conjectured_ftable(k),
                                        polynomials.ftable_row(k)), start=1)
-    ]
-    disproofs = [
-        {"k": k, "j": j, "conjectured": p, "actual": a}
-        for k, j, p, a in polynomials.find_disproof(args.k_max)
     ]
     return {"k_max": args.k_max}, {"rows": rows, "disproofs": disproofs}
 

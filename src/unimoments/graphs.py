@@ -13,7 +13,9 @@ exactly the ones that survive expectation over the unit circle, and each one
 contributes a falling factorial to the trace of the graph operation.  This
 module counts the balanced quotients of any colored graph exactly, bucketed
 by block count (``balanced_quotient_counts``), and evaluates traffic states
-at one n from the same search capped at n blocks per class.  Two kinds of
+at one n from the same search capped at n blocks per class.  For the
+alternating cycles one search does for many: the 2K-cycle's layers hold the
+block grid of every 2k-cycle with k <= K (``_cycle_sweep``).  Two kinds of
 independent oracle check it at small scale: the partition-lattice oracle
 ``balanced_quotient_counts_brute``, which walks ``iter_partitions`` through
 ``quotient`` and ``is_ddcg``, and brute-force Monte Carlo evaluators, which
@@ -232,8 +234,13 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
     Raises ScaleLimitError when a layer of the search outgrows
     MAX_LAYER_STATES.
     """
-    counts = [0] * (g.vertex_count + 1)
-    for (a, b), ways in _block_grid(g).items():
+    return _grid_counts(_block_grid(g), g.vertex_count)
+
+
+def _grid_counts(grid: dict[tuple[int, int], int], vertex_count: int) -> list[int]:
+    """``balanced_quotient_counts`` of a graph with ``vertex_count`` vertices from its block grid."""
+    counts = [0] * (vertex_count + 1)
+    for (a, b), ways in grid.items():
         for t in range(min(a, b) + 1):
             counts[a + b - t] += ways * math.comb(a, t) * math.comb(b, t) * math.factorial(t)
     return counts
@@ -296,10 +303,28 @@ def _block_grid(g: ColoredDigraph, cap: int | None = None) -> dict[tuple[int, in
     which is all that (n)_a (n)_b at n = cap can see.  No class has more
     blocks than vertices, so without a cap it is ``g.vertex_count``.
     """
+    if g.edge_count % 2:
+        return {}
+    for layer in _layers(g, cap):
+        pass
+    # at most the one key with no active block and an empty ledger (l1 <= 0 edges left)
+    return next(iter(layer.values()), {})
+
+
+def _key_code(g: ColoredDigraph) -> str:
+    # A key is [r_0, r_1, active blocks..., (u, w, balance + E) per ledger
+    # entry].  Every item is in 0..max(V, 2E): one byte each whenever that fits.
+    return "B" if max(g.vertex_count, 2 * g.edge_count) < 256 else "I"
+
+
+def _layers(g: ColoredDigraph, cap: int | None):
+    """Yield the layer of ``_block_grid``'s search after 0, 1, ..., V vertices placed.
+
+    The first layer, before any vertex, holds the one empty key.  Only the
+    layer just yielded and the one being built are alive at once.
+    """
     vertex_count, edge_count = g.vertex_count, g.edge_count
     cap = vertex_count if cap is None else cap
-    if edge_count % 2:
-        return {}
     classes = _vertex_classes(g)
     column = max(classes, default=0)  # the class of a ledger entry's first block
     last_neighbour = list(range(vertex_count))
@@ -310,10 +335,9 @@ def _block_grid(g: ColoredDigraph, cap: int | None = None) -> dict[tuple[int, in
         last_neighbour[head] = max(last_neighbour[head], later)
         # red u -> w adds 1 to pair (u, w); blue w -> u takes 1 from the same pair
         placed_with[later].append((tail, head, 1) if color is Color.RED else (head, tail, -1))
-    # A key is [r_0, r_1, active blocks..., (u, w, balance + E) per ledger
-    # entry].  Every item is in 0..max(V, 2E): one byte each whenever that fits.
-    code = "B" if max(vertex_count, 2 * edge_count) < 256 else "I"
+    code = _key_code(g)
     layer = {array(code, [0, 0]).tobytes(): {(0, 0): 1}}
+    yield layer
     active: list[int] = []
     remaining = edge_count
     for v in range(vertex_count):
@@ -326,8 +350,29 @@ def _block_grid(g: ColoredDigraph, cap: int | None = None) -> dict[tuple[int, in
         keep = [slot[u] for u in active]
         layer = _next_layer(layer, code, slot_classes, column, edges, keep, remaining,
                             edge_count, cap)
-    # at most the one key with no active block and an empty ledger (l1 <= 0 edges left)
-    return next(iter(layer.values()), {})
+        yield layer
+
+
+def _cycle_sweep(k_max: int, cap: int):
+    """Yield ``_block_grid(alternating_cycle(k), cap)`` for k = 1, ..., k_max, from one search.
+
+    The search is the 2k_max-cycle's.  Up to vertex 2k - 1 it places the
+    same edges as the 2k-cycle's own search and keeps the same active
+    vertices, 0 and the current one; only its l1 bound is looser, so it
+    keeps a superset of the states, each with the same map.  The 2k-cycle
+    then closes with blue 2k - 1 -> 0, which balances a state exactly when
+    its ledger holds one entry, +1 between vertex 0's column block and
+    vertex 2k - 1's row block: the key [1, 1, 0, 0, (0, 0, 1 + E)].  So the
+    2k-cycle's grid is that key's map in the layer after 2k vertices, and
+    the 2k_max-cycle's own grid is the last layer's.
+    """
+    g = alternating_cycle(k_max)
+    closing = array(_key_code(g), [1, 1, 0, 0, 0, 0, 1 + g.edge_count]).tobytes()
+    for placed, layer in enumerate(_layers(g, cap)):
+        if placed == g.vertex_count:
+            yield next(iter(layer.values()), {})
+        elif placed and placed % 2 == 0:
+            yield layer.get(closing, {})
 
 
 def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, edges, keep,

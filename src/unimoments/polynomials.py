@@ -6,8 +6,9 @@ factorial basis, with the balanced-quotient counts F(2k, j) as coefficients;
 this module converts between that basis and ordinary powers of N in both
 directions (Horner expansion one way, synthetic division the other, both
 in the Newton basis with nodes 0, 1, 2, ... and both checked by exact
-evaluation), sums exact moments at one N from the engine's block grid
-capped at N, and evaluates the Borel-triangle closed form that was once
+evaluation), sums exact moments at one N from the 2k-cycle's block grid
+capped at N (kept by ``counting``, like the rows), and evaluates the
+Borel-triangle closed form that was once
 believed to produce the same numbers.  Everything is arbitrary-precision integer or rational
 arithmetic; no floats.
 
@@ -20,9 +21,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 
-from . import counting, graphs
+from . import counting
 from .errors import InternalCheckError
 
 __all__ = [
@@ -112,9 +112,8 @@ def conjectured_ftable(k: int) -> list[int]:
     )
 
 
-@lru_cache(maxsize=None)
 def ftable_row(k: int) -> tuple[int, ...]:
-    """Row [F(2k, 1), ..., F(2k, k+1)] of exact counts, computed once per k.
+    """Row [F(2k, 1), ..., F(2k, k+1)] of exact counts, from ``counting``'s cached grids.
 
     Raises ScaleLimitError when the engine's layers would outgrow
     ``graphs.MAX_LAYER_STATES``.
@@ -122,30 +121,20 @@ def ftable_row(k: int) -> tuple[int, ...]:
     return tuple(counting.count_ddcg_partitions(k))
 
 
-# k -> (cap, the 2k-cycle's block grid at that cap): the widest grid searched so far
-_cycle_grids: dict[int, tuple[int, dict[tuple[int, int], int]]] = {}
-
-
 def exact_moment(k: int, n: int) -> Fraction:
     """Exact k-th mean spectral moment at dimension n: sum_j F(2k, j) (n)_j / n^(2k+1).
 
     Summed as G(a, b) (n)_a (n)_b over the 2k-cycle's block grid capped at
-    min(n, k), which is the whole grid from n = k on: each class of the
-    cycle has k vertices.  A grid serves every smaller n, so each k is
-    searched again only for a larger cap.  Raises ScaleLimitError when the
-    engine's layers would outgrow ``graphs.MAX_LAYER_STATES``.
+    n, which is the whole grid from n = k on (``counting``'s grids serve
+    it, searched only when no grid at least that wide is kept).  Raises
+    ScaleLimitError when the engine's layers would outgrow
+    ``graphs.MAX_LAYER_STATES``.
     """
     if operator.index(n) < 1:
         raise ValueError("matrix dimension must be >= 1")
-    cycle, cap = graphs.alternating_cycle(operator.index(k)), min(n, k)
-    if _cycle_grids.get(k, (0,))[0] < cap:
-        _cycle_grids[k] = cap, graphs._block_grid(cycle, cap)
-    grid = _cycle_grids[k][1]
+    grid = counting._cycle_grids((k,), n)[k]
     numerator = sum(w * math.perm(n, a) * math.perm(n, b) for (a, b), w in grid.items())
     return Fraction(numerator, n ** (2 * k + 1))
-
-
-exact_moment.cache_clear = _cycle_grids.clear  # emptied like the functools caches
 
 
 def find_disproof(k_max: int) -> list[tuple[int, int, int, int]]:
@@ -155,6 +144,7 @@ def find_disproof(k_max: int) -> list[tuple[int, int, int, int]]:
     """
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
+    counting._cycle_grids(range(1, k_max + 1), k_max)  # every row from one search
     mismatches = []
     for k in range(1, k_max + 1):
         actual = ftable_row(k)

@@ -7,26 +7,23 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from unimoments import graphs, montecarlo, polynomials
-
-
-def clear_exact_caches():
-    """Empty the row cache and the cycle grids behind ``exact_moment``."""
-    polynomials.ftable_row.cache_clear()
-    polynomials.exact_moment.cache_clear()
+from unimoments import counting, graphs, montecarlo, polynomials
 
 
 @pytest.fixture
-def tiny_layer_guard(monkeypatch):
-    """A layer guard of 10 states, which refuses every row from 2k = 12 on.
-
-    The caches are emptied first, so that nothing computed under the real
-    guard is served without a search.
-    """
-    clear_exact_caches()
-    monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 10)
+def cold_caches():
+    """Empty the one cache of cycle grids before and after the test, so that
+    nothing computed elsewhere is served without a search."""
+    counting._cycle_grids.cache_clear()
     yield
-    clear_exact_caches()
+    counting._cycle_grids.cache_clear()
+
+
+@pytest.fixture
+def tiny_layer_guard(monkeypatch, cold_caches):
+    """A layer guard of 10 states, which refuses every row from 2k = 12 on, behind
+    empty caches."""
+    monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 10)
 
 
 @pytest.fixture
@@ -53,43 +50,52 @@ def no_sampling(monkeypatch):
 
 
 @pytest.fixture
-def no_counting(monkeypatch):
-    """An engine that refuses to count, behind empty caches."""
-    def refuse(g, cap=None):
+def no_counting(monkeypatch, cold_caches):
+    """An engine that refuses to search, behind empty caches.
+
+    Every search, ``_block_grid``'s and the cycle sweep's alike, walks
+    ``graphs._layers``.
+    """
+    def refuse(g, cap):
         raise AssertionError("the engine was called")
 
-    clear_exact_caches()  # so that nothing cached hides a count
-    monkeypatch.setattr(graphs, "_block_grid", refuse)
+    monkeypatch.setattr(graphs, "_layers", refuse)
 
 
 @pytest.fixture
-def block_grid_calls(monkeypatch):
+def block_grid_calls(monkeypatch, cold_caches):
     """The (k, cap) of each 2k-cycle search the engine makes, behind empty caches."""
     calls = []
-    real = graphs._block_grid
+    real = graphs._layers
 
-    def recorded(g, cap=None):
+    def recorded(g, cap):
         calls.append((g.vertex_count // 2, cap))
         return real(g, cap)
 
-    clear_exact_caches()
-    monkeypatch.setattr(graphs, "_block_grid", recorded)
+    monkeypatch.setattr(graphs, "_layers", recorded)
     return calls
 
 
 @pytest.fixture
 def one_block_too_many(monkeypatch):
     """An engine and a lattice oracle that find one balanced quotient of a 2k-cycle
-    with k + 2 blocks."""
-    for name in ("balanced_quotient_counts", "balanced_quotient_counts_brute"):
-        real = getattr(graphs, name)
+    with k + 2 blocks, however the grid was cached."""
+    real_counts = graphs._grid_counts
 
-        def counts(g, real=real):
-            out = real(g)
-            out[g.vertex_count // 2 + 2] += 1
-            return out
+    def grid_counts(grid, vertex_count):
+        out = real_counts(grid, vertex_count)
+        out[vertex_count // 2 + 2] += 1
+        return out
 
-        monkeypatch.setattr(graphs, name, counts)
+    real_brute = graphs.balanced_quotient_counts_brute
+
+    def brute(g):
+        out = real_brute(g)
+        out[g.vertex_count // 2 + 2] += 1
+        return out
+
+    monkeypatch.setattr(graphs, "_grid_counts", grid_counts)
+    monkeypatch.setattr(graphs, "balanced_quotient_counts_brute", brute)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from unimoments import (
     traffic_state_brute,
     validate_against_exact,
 )
-from unimoments import graphs
+from unimoments import counting, graphs
 from unimoments.tables import CONJECTURED_COUNTS, REFERENCE_COUNTS
 
 R, B = Color.RED, Color.BLUE
@@ -230,8 +230,9 @@ def test_criterion_10_recomputed_2k18_2k20(monkeypatch):
     # with every vertex in one class, row and column indices may share a block
     monkeypatch.setattr(graphs, "_vertex_classes", lambda g: [0] * g.vertex_count)
     started = time.perf_counter()
-    ok = all(count_ddcg_partitions(k) == sided[k] and tuple(sided[k]) == REFERENCE_COUNTS[2 * k]
-             for k in (9, 10))
+    # counting._row refuses stray counts at 0 blocks or past k + 1, as count_ddcg_partitions does
+    ok = all(counting._row(k, graphs.balanced_quotient_counts(alternating_cycle(k))) == sided[k]
+             and tuple(sided[k]) == REFERENCE_COUNTS[2 * k] for k in (9, 10))
     check(
         "10 (recomputed)",
         f"2k = 18 and 20 recomputed with rows and columns in one class match "

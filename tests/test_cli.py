@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from unimoments import cli, counting, graphs, montecarlo
+from unimoments import cli, counting, montecarlo
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +48,18 @@ class TestCountCommand:
     def test_k_range(self, capsys):
         record = run_json(capsys, "count", "--k-range", "1..2")
         assert [r["two_k"] for r in record["results"]["rows"]] == [2, 2, 4, 4, 4]
+
+    def test_k_range_emits_the_single_rows(self, capsys):
+        single = []
+        for k in range(1, 9):
+            counting._cycle_grids.cache_clear()  # so that each row is its own search
+            single += run_json(capsys, "count", "--k", str(k))["results"]["rows"]
+        counting._cycle_grids.cache_clear()
+        assert run_json(capsys, "count", "--k-range", "1..8")["results"]["rows"] == single
+
+    def test_k_range_is_one_search(self, capsys, block_grid_calls):
+        run_json(capsys, "count", "--k-range", "1..8")
+        assert block_grid_calls == [(8, 8)]
 
     def test_brute_agrees_with_search(self, capsys):
         base = run_json(capsys, "count", "--k", "3")
@@ -143,6 +155,10 @@ class TestConjectureCommand:
         }
         assert disproofs[(8, 3)] == (559130, 566234)
         assert all("actual_source" not in r for r in record["results"]["rows"])
+
+    def test_one_search(self, capsys, block_grid_calls):
+        run_json(capsys, "conjecture", "--k-max", "8")
+        assert block_grid_calls == [(8, 8)]
 
 
 class TestMcCommand:
@@ -257,8 +273,7 @@ class TestExitCodes:
     def test_scale_refusal_beyond_reference(self, capsys, tiny_layer_guard):
         assert cli.main(["poly", "--k", "12"]) == 3
 
-    def test_scale_refusal_for_layer_guard(self, capsys, monkeypatch):
-        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 10)
+    def test_scale_refusal_for_layer_guard(self, capsys, tiny_layer_guard):
         assert cli.main(["count", "--k", "6"]) == 3
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])

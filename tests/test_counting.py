@@ -1,6 +1,7 @@
 """Cycle counter tests: engine rows vs known rows and the lattice oracle."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from unimoments import (
     ScaleLimitError,
     count_brute,
     count_ddcg_partitions,
+    exact_moment,
     ftable_row,
 )
 from unimoments import counting, graphs
@@ -29,10 +31,14 @@ ROW_24 = [1, 2704155, 1682760352, 45893092377, 251500233133, 477017639031,
 
 
 def one_class_row(monkeypatch, k):
-    """The row with every vertex in one class, so that rows and columns may share a block."""
+    """The row with every vertex in one class, so that rows and columns may share a block.
+
+    ``balanced_quotient_counts`` searches the cycle itself: the cycle sweep
+    behind ``count_ddcg_partitions`` reads its rows off the two-class keys.
+    """
     with monkeypatch.context() as patch:
         patch.setattr(graphs, "_vertex_classes", lambda g: [0] * g.vertex_count)
-        return count_ddcg_partitions(k)
+        return counting._row(k, graphs.balanced_quotient_counts(graphs.alternating_cycle(k)))
 
 
 class TestCountRows:
@@ -61,7 +67,7 @@ class TestCountRows:
         with pytest.raises(ScaleLimitError):
             count_brute(counting.BRUTE_MAX_K + 1)
 
-    def test_layer_guard(self, monkeypatch):
+    def test_layer_guard(self, monkeypatch, cold_caches):
         # the k = 5 cycle needs 6 states in its widest layer (76 in one class)
         monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 5)
         with pytest.raises(ScaleLimitError, match="5 states"):
@@ -82,6 +88,35 @@ class TestCountRows:
         assert row[0] == 1
         assert row[1] == math.comb(2 * k, k) - 1
         assert row[k] == math.comb(2 * k, k) // (k + 1)
+
+
+class TestOneSearch:
+    def test_a_row_serves_every_later_request(self, block_grid_calls):
+        ftable_row(12)
+        exact_moment(12, 20)
+        count_ddcg_partitions(12)
+        exact_moment(5, 3)
+        assert block_grid_calls == [(12, 12)]
+
+    def test_rows_in_any_order_are_one_search(self, block_grid_calls):
+        assert counting.count_ddcg_rows([1, 5, 3, 5]) == [KNOWN_ROWS[k] for k in (1, 5, 3, 5)]
+        assert block_grid_calls == [(5, 5)]
+
+    def test_grids_in_any_order_are_one_search(self, block_grid_calls):
+        grids = counting._cycle_grids([2, 7, 4], 3)
+        counting._cycle_grids([3, 5], 2)  # narrower: served from the grids kept
+        assert block_grid_calls == [(7, 3)]
+        assert list(grids) == [2, 7, 4]
+        assert grids[7] == graphs._block_grid(graphs.alternating_cycle(7), 3)
+
+    def test_a_wider_cap_searches_again(self, block_grid_calls):
+        assert exact_moment(9, 2) == Fraction(math.comb(18, 9), 4**9)
+        exact_moment(4, 2)
+        # rows up to 2k = 18 are kept at cap 2 only, and row 5 at cap 5 after this
+        assert exact_moment(5, 7) * 7**11 == sum(
+            c * math.perm(7, j) for j, c in enumerate(KNOWN_ROWS[5], start=1))
+        exact_moment(3, 4)
+        assert block_grid_calls == [(9, 2), (5, 5)]
 
 
 class TestInternalConsistency:

@@ -1,5 +1,6 @@
 """Graph-core tests: quotients, the balance predicate, and traffic values."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -263,6 +264,35 @@ class TestBlockCap:
         grid = graphs._block_grid(g)
         for cap in range(1, k + 1):
             assert graphs._block_grid(g, cap) == restricted(grid, cap)
+
+
+@functools.cache
+def own_grid(k, cap):
+    """The 2k-cycle's grid at ``cap`` from its own search."""
+    return graphs._block_grid(alternating_cycle(k), cap)
+
+
+class TestCycleSweep:
+    """One search of the 2K-cycle gives the grid of every 2k-cycle with k <= K."""
+
+    @pytest.mark.parametrize("k_max", [*range(1, 11), pytest.param(11, marks=pytest.mark.slow)])
+    def test_every_row_at_every_cap(self, k_max):
+        for cap in range(1, 2 * k_max + 1):
+            assert list(graphs._cycle_sweep(k_max, cap)) == [
+                own_grid(k, cap) for k in range(1, k_max + 1)]
+
+    def test_refused_where_the_deepest_row_is(self, monkeypatch):
+        # the 2k = 10 cycle's widest layer holds 6 states, and the sweep holds its layers
+        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 5)
+        with pytest.raises(ScaleLimitError, match="5 states"):
+            list(graphs._cycle_sweep(5, 5))
+        assert list(graphs._cycle_sweep(4, 4)) == [own_grid(k, 4) for k in range(1, 5)]
+        monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 6)
+        assert list(graphs._cycle_sweep(5, 5)) == [own_grid(k, 5) for k in range(1, 6)]
+
+    def test_the_empty_graph_keeps_its_first_layer(self):
+        assert graphs._block_grid(ColoredDigraph(0, ())) == {(0, 0): 1}
+        assert balanced_quotient_counts(ColoredDigraph(0, ())) == [1]
 
 
 class TestBalancedQuotientCounts:

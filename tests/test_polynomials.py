@@ -214,6 +214,10 @@ class TestFindDisproof:
         assert (7, 3, 78428, 78806) in mismatches
         assert (7, 4, 248339, 249137) in mismatches
 
+    def test_one_search(self, block_grid_calls):
+        find_disproof(8)
+        assert block_grid_calls == [(8, 8)]
+
     def test_explicit_rows_override(self, monkeypatch):
         rows = {1: (1, 1), 2: (1, 5, 3)}  # deliberately wrong F(4, 3)
         monkeypatch.setattr(polynomials, "ftable_row", rows.__getitem__)
