@@ -10,7 +10,7 @@ division by N - 1, N - 2, ...
 import math
 from fractions import Fraction
 
-from unimoments import exact_moment, ftable_row, pochhammer_to_monomial
+from unimoments import count_ddcg_rows, exact_moment, pochhammer_to_monomial
 
 
 def pretty(coeffs, term):
@@ -22,8 +22,7 @@ def pretty(coeffs, term):
     return " ".join(parts) or "0"
 
 
-for k in range(1, 8):
-    row = ftable_row(k)
+for k, row in enumerate(count_ddcg_rows(range(1, 8)), start=1):
     print(f"k = {k}")
     print(f"  falling factorial: {pretty(row, '(N)')}")
     print(f"  monomial:          {pretty(pochhammer_to_monomial(row), 'N')}")

@@ -6,13 +6,12 @@ up to k = 5.  At k = 6 it undershoots three entries; the most cited one is
 F(12, 3), predicted 10988 against an actual 11000.
 """
 
-from unimoments import conjectured_ftable, find_disproof, ftable_row
+from unimoments import conjectured_ftable, count_ddcg_rows, find_disproof
 
 print("prediction vs exact, k = 1..6")
 print()
-for k in range(1, 7):
+for k, actual in enumerate(count_ddcg_rows(range(1, 7)), start=1):
     predicted = conjectured_ftable(k)
-    actual = list(ftable_row(k))
     status = "exact" if predicted == actual else "WRONG"
     print(f"k = {k} [{status}]")
     print(f"  predicted: {predicted}")

@@ -10,7 +10,7 @@ the Borel-triangle closed form that predicts the same counts only up to
 k = 5, and validates everything by Monte Carlo.
 """
 
-from .counting import count_brute, count_ddcg_partitions
+from .counting import count_brute, count_ddcg_partitions, count_ddcg_rows
 from .errors import InternalCheckError, ScaleLimitError
 from .graphs import (
     Color,
@@ -18,8 +18,6 @@ from .graphs import (
     alternating_cycle,
     balanced_quotient_counts,
     balanced_quotient_counts_brute,
-    injective_traffic_brute,
-    injective_traffic_value,
     is_ddcg,
     iter_partitions,
     quotient,
@@ -37,7 +35,6 @@ from .polynomials import (
     conjectured_ftable,
     exact_moment,
     find_disproof,
-    ftable_row,
     monomial_to_pochhammer,
     pochhammer_to_monomial,
 )
@@ -52,19 +49,17 @@ __all__ = [
     "is_ddcg",
     "balanced_quotient_counts",
     "balanced_quotient_counts_brute",
-    "injective_traffic_value",
-    "injective_traffic_brute",
     "traffic_state_brute",
     "tau_via_quotients",
     "iter_partitions",
     "count_ddcg_partitions",
+    "count_ddcg_rows",
     "count_brute",
     "pochhammer_to_monomial",
     "monomial_to_pochhammer",
     "borel_entry",
     "conjectured_ftable",
     "exact_moment",
-    "ftable_row",
     "find_disproof",
     "MomentEstimate",
     "ValidationReport",

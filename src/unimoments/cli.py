@@ -161,14 +161,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_count(args):
     if args.workers is not None and args.workers < 1:
         raise ValueError("workers must be >= 1")
-    if args.k is not None:
-        ks = [args.k]
-    else:
-        lo, hi = args.k_range
-        ks = list(range(lo, hi + 1))
-    if args.brute and max(ks) > counting.BRUTE_MAX_K:
-        # refuse before the oracle spends minutes on the smaller k
+    lo, hi = args.k_range or (args.k, args.k)
+    # refuse before the oracle spends minutes on the smaller k, or the range is listed
+    if args.brute and hi > counting.BRUTE_MAX_K:
         raise ScaleLimitError(f"brute-force oracle limited to k <= {counting.BRUTE_MAX_K}")
+    counting._check_depth(hi, hi)
+    ks = range(lo, hi + 1)
     counts = ([counting.count_brute(k) for k in ks] if args.brute
               else counting.count_ddcg_rows(ks))
     rows = [
@@ -176,11 +174,11 @@ def _cmd_count(args):
         for k, row in zip(ks, counts)
         for j, c in enumerate(row, start=1)
     ]
-    return {"k": ks, "brute": args.brute}, {"rows": rows}
+    return {"k": list(ks), "brute": args.brute}, {"rows": rows}
 
 
 def _cmd_poly(args):
-    row = polynomials.ftable_row(args.k)
+    row = counting.count_ddcg_partitions(args.k)
     rows = [
         {"k": args.k, "basis": basis, "j": j, "coefficient": c}
         for basis, coeffs in (("pochhammer", row),
@@ -193,16 +191,16 @@ def _cmd_poly(args):
 def _cmd_conjecture(args):
     if args.k_max < 1:
         raise ValueError("--k-max must be >= 1")
-    # find_disproof first: it searches every row at once, and the rows below reuse them
+    counting._check_depth(args.k_max, args.k_max)  # before a range of rows is listed
+    actual = counting.count_ddcg_rows(range(1, args.k_max + 1))
+    rows = [
+        {"two_k": 2 * k, "j": j, "conjectured": p, "actual": a, "match": p == a}
+        for k, row in enumerate(actual, start=1)
+        for j, (p, a) in enumerate(zip(polynomials.conjectured_ftable(k), row), start=1)
+    ]
     disproofs = [
         {"k": k, "j": j, "conjectured": p, "actual": a}
         for k, j, p, a in polynomials.find_disproof(args.k_max)
-    ]
-    rows = [
-        {"two_k": 2 * k, "j": j, "conjectured": p, "actual": a, "match": p == a}
-        for k in range(1, args.k_max + 1)
-        for j, (p, a) in enumerate(zip(polynomials.conjectured_ftable(k),
-                                       polynomials.ftable_row(k)), start=1)
     ]
     return {"k_max": args.k_max}, {"rows": rows, "disproofs": disproofs}
 

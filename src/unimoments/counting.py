@@ -13,7 +13,8 @@ imbalance mass and the edge parity.  One search of the 2k-cycle yields the
 block grid of every row up to 2k, and this module keeps one grid per k, at
 the widest cap searched so far, for the rows here and for
 ``polynomials.exact_moment``.  A caller that needs many rows names them in
-one call (``count_ddcg_rows``, ``_cycle_grids``), which searches once.
+one call (``count_ddcg_rows``, ``_cycle_grids``), which searches once, and a
+search that must outgrow the engine's layer guard is refused before it starts.
 ``count_brute`` is the independent oracle:
 the same row from ``graphs.balanced_quotient_counts_brute``, which walks the
 full partition lattice through the graph-core quotient and balance
@@ -25,7 +26,7 @@ from __future__ import annotations
 import operator
 
 from . import graphs
-from .errors import InternalCheckError
+from .errors import InternalCheckError, ScaleLimitError
 
 __all__ = [
     "count_ddcg_partitions",
@@ -50,6 +51,14 @@ def _row(k: int, counts: list[int]) -> list[int]:
 _grids: dict[int, tuple[int, dict[tuple[int, int], int]]] = {}
 
 
+def _check_depth(k_max: int, cap: int) -> None:
+    """Raise ScaleLimitError for a sweep to ``k_max`` at ``cap`` that must outgrow the
+    layer guard (see ``graphs.MAX_CYCLE_K``)."""
+    if min(cap, k_max) > graphs.MAX_CYCLE_K:
+        raise ScaleLimitError(f"rows and caps past k = {graphs.MAX_CYCLE_K} outgrow "
+                              f"{graphs.MAX_LAYER_STATES} layer states (got k = {k_max}, cap {cap})")
+
+
 def _cycle_grids(ks, cap: int) -> dict[int, dict[tuple[int, int], int]]:
     """The 2k-cycle's block grid for every k in ``ks``, capped at ``cap`` blocks per class, or wider.
 
@@ -59,12 +68,14 @@ def _cycle_grids(ks, cap: int) -> dict[int, dict[tuple[int, int], int]]:
     (``graphs._cycle_sweep``) yields every row up to max(ks); each row's
     grid is kept unless a wider one is kept already.  So a call searches at
     most once, whatever the order of ``ks``, and a caller with many rows
-    passes them all in one call.  Raises ScaleLimitError when the engine's
-    layers outgrow ``graphs.MAX_LAYER_STATES``.
+    passes them all in one call.  Raises ScaleLimitError before any search
+    when min(cap, max(ks)) exceeds ``graphs.MAX_CYCLE_K``, and when the
+    engine's layers outgrow ``graphs.MAX_LAYER_STATES``.
     """
     ks = [operator.index(k) for k in ks]
-    if min(ks, default=0) < 1:
+    if min(ks, default=1) < 1:
         raise ValueError("k must be a positive integer")
+    _check_depth(max(ks, default=1), cap)
     if any(_grids.get(k, (0,))[0] < min(cap, k) for k in ks):
         k_max = max(ks)
         for j, grid in enumerate(graphs._cycle_sweep(k_max, min(cap, k_max)), start=1):
@@ -79,8 +90,8 @@ _cycle_grids.cache_clear = _grids.clear  # emptied like the functools caches
 def count_ddcg_partitions(k: int) -> list[int]:
     """Exact row [F(2k, 1), ..., F(2k, k+1)] from the balanced-quotient engine.
 
-    Raises ScaleLimitError when the engine's layers outgrow
-    ``graphs.MAX_LAYER_STATES``.
+    Raises ScaleLimitError past k = ``graphs.MAX_CYCLE_K``, before any
+    search, and when the engine's layers outgrow ``graphs.MAX_LAYER_STATES``.
     """
     return _row(k, graphs._grid_counts(_cycle_grids((k,), k)[k], 2 * k))
 
@@ -88,10 +99,11 @@ def count_ddcg_partitions(k: int) -> list[int]:
 def count_ddcg_rows(ks) -> list[list[int]]:
     """``count_ddcg_partitions(k)`` for every k in ``ks``, in order, from one search at most.
 
-    The deepest row is counted first: its search keeps every shallower one.
+    ``ks`` is read once, so any iterable will do.
     """
-    rows = {k: count_ddcg_partitions(k) for k in sorted(set(ks), reverse=True)}
-    return [rows[k] for k in ks]
+    ks = list(ks)
+    _cycle_grids(ks, max(ks, default=1))  # the deepest row's search keeps every shallower one
+    return [count_ddcg_partitions(k) for k in ks]
 
 
 def count_brute(k: int) -> list[int]:

@@ -18,9 +18,9 @@ alternating cycles one search does for many: the 2K-cycle's layers hold the
 block grid of every 2k-cycle with k <= K (``_cycle_sweep``).  Two kinds of
 independent oracle check it at small scale: the partition-lattice oracle
 ``balanced_quotient_counts_brute``, which walks ``iter_partitions`` through
-``quotient`` and ``is_ddcg``, and brute-force Monte Carlo evaluators, which
-sum the edge-entry product of sampled matrices over every vertex map in one
-tensor contraction.
+``quotient`` and ``is_ddcg``, and the brute-force Monte Carlo evaluator
+``traffic_state_brute``, which sums the edge-entry product of sampled
+matrices over every vertex map in one tensor contraction.
 """
 
 from __future__ import annotations
@@ -48,13 +48,12 @@ __all__ = [
     "injective_traffic_value",
     "tau_via_quotients",
     "traffic_state_brute",
-    "injective_traffic_brute",
     "iter_partitions",
 ]
 
 # The lattice oracle walks Bell(V) partitions: Bell(12) = 4,213,597 at most.
 LATTICE_MAX_VERTICES = 12
-# Brute-force evaluators sum over N**V vertex maps per sample.
+# The brute-force evaluator sums over N**V vertex maps per sample.
 BRUTE_MAX_N = 6
 BRUTE_MAX_VERTICES = 6
 # Samples x N**max(V, 2) at most in one brute-force contraction.  Its arrays hold
@@ -70,6 +69,15 @@ _BRUTE_BUDGET = 1 << 19
 # and the refusal comes at 613 MiB: about 400 bytes per live state.  So a
 # layer at the cap and the one built from it stay near 800 MiB, under 1 GiB.
 MAX_LAYER_STATES = 1_000_000
+# The deepest cycle, and the widest cap, that a sweep of the 2K-cycle can
+# reach under MAX_LAYER_STATES.  With cap c and K both >= 17, the sweep's
+# first 34 vertices place at most 17 of each class, so the cap cuts nothing
+# there, and they keep a superset of the 34-cycle's own states (see
+# _cycle_sweep); the 34-cycle outgrows the guard, so this sweep does too.
+# So a sweep with min(c, K) > 16 is refused before anything is built; that
+# refuses nothing the guard would let through, while a smaller sweep may
+# still outgrow the guard.
+MAX_CYCLE_K = 16
 
 
 class Color(Enum):
@@ -471,7 +479,20 @@ def tau_via_quotients(g: ColoredDigraph, n: int) -> Fraction:
     return Fraction(sum(w * math.perm(n, a) * math.perm(n, b) for (a, b), w in grid.items()), n)
 
 
-def _check_brute_scale(g: ColoredDigraph, n: int, samples: int):
+def traffic_state_brute(g: ColoredDigraph, n: int, samples: int, seed: int,
+                        with_stderr: bool = False):
+    """Monte Carlo estimate of the traffic state, summing every vertex map of sampled U.
+
+    The mean over samples of the edge-entry product summed over the n^V
+    vertex maps, over n.  The sum over maps is one einsum per chunk of
+    samples, in which index x < V is vertex x and index V the sample.  A red
+    edge tail -> head reads U[head, tail] and a blue one conj U[tail, head];
+    a vertex that no edge reads multiplies the sum by n.  Uses no quotient,
+    so it checks ``tau_via_quotients`` independently.  Deterministic given
+    (seed, samples); exponential in the vertex count, hence the small-scale
+    guard.  With ``with_stderr`` returns (mean, standard error) instead of
+    the mean.
+    """
     if n > BRUTE_MAX_N or g.vertex_count > BRUTE_MAX_VERTICES:
         raise ScaleLimitError(f"brute-force evaluator limited to N <= {BRUTE_MAX_N} and <= "
                               f"{BRUTE_MAX_VERTICES} vertices (got N={n}, V={g.vertex_count})")
@@ -479,30 +500,15 @@ def _check_brute_scale(g: ColoredDigraph, n: int, samples: int):
         raise ValueError("matrix dimension must be >= 1")
     if samples < 1:
         raise ValueError(f"need at least one sample (got {samples})")
-
-
-def _brute_estimate(g: ColoredDigraph, n: int, samples: int, seed: int, injective: bool,
-                    with_stderr: bool):
-    """Mean over sampled U of the edge-entry product summed over vertex maps, over n.
-
-    The sum over maps is one einsum per chunk of samples, in which index
-    x < V is vertex x and index V the sample.  A red edge tail -> head reads
-    U[head, tail] and a blue one conj U[tail, head]; with ``injective``, a
-    factor 1 - [a == b] for each vertex pair keeps only the injective maps.
-    A vertex that no factor reads multiplies the sum by n.
-    """
-    _check_brute_scale(g, n, samples)
     v = g.vertex_count
-    maps = math.perm(n, v) if injective else n ** v
-    values = np.full(samples, maps / n, dtype=np.complex128)  # with no edge or no map
-    if g.edges and maps:
-        pairs = [(a, b) for b in range(v) for a in range(b)] if injective else []
-        scale = n ** (v - len({x for e in g.edges for x in e[:2]}.union(*pairs))) / n
+    values = np.full(samples, n ** v / n, dtype=np.complex128)  # with no edge
+    if g.edges:
+        scale = n ** (v - len({x for e in g.edges for x in e[:2]})) / n
 
         def operands(u):
-            conj, masks = u.conj(), np.ones_like(u) - np.eye(n)
+            conj = u.conj()
             out = [[u, [v, head, tail]] if color is Color.RED else [conj, [v, tail, head]]
-                   for tail, head, color in g.edges] + [[masks, [v, *pair]] for pair in pairs]
+                   for tail, head, color in g.edges]
             return [x for operand in out for x in operand] + [[v]]
 
         # Every factor carries the sample index and the path is planned for one
@@ -519,21 +525,3 @@ def _brute_estimate(g: ColoredDigraph, n: int, samples: int, seed: int, injectiv
     # combined real+imaginary sample variance of the per-sample values (0 for one sample)
     var = float((np.abs(values - values.mean()) ** 2).sum() / max(samples - 1, 1))
     return (mean, math.sqrt(var / samples)) if with_stderr else mean
-
-
-def traffic_state_brute(g: ColoredDigraph, n: int, samples: int, seed: int,
-                        with_stderr: bool = False):
-    """Monte Carlo estimate of the traffic state, summing every vertex map of sampled U.
-
-    Uses no quotient, so it checks ``tau_via_quotients`` independently.
-    Deterministic given (seed, samples); exponential in the vertex count,
-    hence the small-scale guard.  With ``with_stderr`` returns (mean,
-    standard error) instead of the mean.
-    """
-    return _brute_estimate(g, n, samples, seed, False, with_stderr)
-
-
-def injective_traffic_brute(g: ColoredDigraph, n: int, samples: int, seed: int,
-                            with_stderr: bool = False):
-    """As ``traffic_state_brute``, over injective vertex maps only: exactly 0 when n < V."""
-    return _brute_estimate(g, n, samples, seed, True, with_stderr)

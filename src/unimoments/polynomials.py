@@ -31,7 +31,6 @@ __all__ = [
     "borel_entry",
     "conjectured_ftable",
     "exact_moment",
-    "ftable_row",
     "find_disproof",
 ]
 
@@ -112,22 +111,14 @@ def conjectured_ftable(k: int) -> list[int]:
     )
 
 
-def ftable_row(k: int) -> tuple[int, ...]:
-    """Row [F(2k, 1), ..., F(2k, k+1)] of exact counts, from ``counting``'s cached grids.
-
-    Raises ScaleLimitError when the engine's layers would outgrow
-    ``graphs.MAX_LAYER_STATES``.
-    """
-    return tuple(counting.count_ddcg_partitions(k))
-
-
 def exact_moment(k: int, n: int) -> Fraction:
     """Exact k-th mean spectral moment at dimension n: sum_j F(2k, j) (n)_j / n^(2k+1).
 
     Summed as G(a, b) (n)_a (n)_b over the 2k-cycle's block grid capped at
     n, which is the whole grid from n = k on (``counting``'s grids serve
     it, searched only when no grid at least that wide is kept).  Raises
-    ScaleLimitError when the engine's layers would outgrow
+    ScaleLimitError when min(n, k) exceeds ``graphs.MAX_CYCLE_K``, before
+    any search, or when the engine's layers would outgrow
     ``graphs.MAX_LAYER_STATES``.
     """
     if operator.index(n) < 1:
@@ -144,12 +135,10 @@ def find_disproof(k_max: int) -> list[tuple[int, int, int, int]]:
     """
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
-    counting._cycle_grids(range(1, k_max + 1), k_max)  # every row from one search
+    counting._check_depth(k_max, k_max)  # before a range of k_max rows is listed
     mismatches = []
-    for k in range(1, k_max + 1):
-        actual = ftable_row(k)
-        predicted = conjectured_ftable(k)
-        for j in range(1, k + 2):
-            if predicted[j - 1] != actual[j - 1]:
-                mismatches.append((k, j, predicted[j - 1], actual[j - 1]))
+    for k, actual in enumerate(counting.count_ddcg_rows(range(1, k_max + 1)), start=1):
+        for j, (predicted, value) in enumerate(zip(conjectured_ftable(k), actual), start=1):
+            if predicted != value:
+                mismatches.append((k, j, predicted, value))
     return mismatches

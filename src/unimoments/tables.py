@@ -1,7 +1,7 @@
 """Reference tables of balanced-quotient counts and their Borel-triangle prediction.
 
 These are golden data: no module of the package computes from them, since
-every row is computed (``polynomials.ftable_row``).  The tests and the
+every row is computed (``counting.count_ddcg_partitions``).  The tests and the
 benchmark in ``perfbench/`` check their results against them.
 
 ``REFERENCE_COUNTS`` holds the exact values of F(2k, j), j = 1..k+1, for

@@ -303,6 +303,20 @@ class TestExitCodes:
     def test_mc_refuses_before_it_counts(self, capsys, no_counting, flags, code):
         assert cli.main(["mc", "--n", "2", "--k", "12", *flags]) == code
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--k", "17"],
+        ["poly", "--k", "17"],
+        ["conjecture", "--k-max", "17"],
+        ["count", "--k-range", "1..1000000000"],
+        ["conjecture", "--k-max", "1000000000"],
+    ], ids=" ".join)
+    def test_past_the_deepest_cycle_refused_before_anything_is_built(self, capsys, monkeypatch,
+                                                                     no_counting, argv):
+        for name in ("count_ddcg_rows", "count_brute"):
+            monkeypatch.setattr(counting, name, lambda ks: pytest.fail("listed the rows"))
+        assert cli.main(argv) == 3
+        assert "past k = 16" in capsys.readouterr().err
+
     def test_internal_failure_in_the_engine(self, capsys, one_block_too_many):
         assert cli.main(["count", "--k", "3"]) == 4
 

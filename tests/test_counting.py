@@ -10,10 +10,11 @@ from unimoments import (
     ScaleLimitError,
     count_brute,
     count_ddcg_partitions,
+    count_ddcg_rows,
     exact_moment,
-    ftable_row,
 )
 from unimoments import counting, graphs
+from unimoments.tables import REFERENCE_COUNTS
 
 # exact rows for small k: [F(2k, 1), ..., F(2k, k+1)]
 KNOWN_ROWS = {
@@ -46,6 +47,14 @@ class TestCountRows:
     def test_pruned_search_reproduces_known_rows(self, k, row):
         assert count_ddcg_partitions(k) == row
 
+    def test_rows_match_the_reference_table(self):
+        # through 2k = 22, the deepest reference row
+        assert count_ddcg_rows(range(1, 12)) == [list(REFERENCE_COUNTS[2 * k]) for k in range(1, 12)]
+
+    def test_rows_from_a_generator(self):
+        assert count_ddcg_rows(k for k in (2, 1, 2)) == [KNOWN_ROWS[2], KNOWN_ROWS[1], KNOWN_ROWS[2]]
+        assert count_ddcg_rows(iter([])) == []
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_oracle_equivalence_small(self, k):
         assert count_brute(k) == count_ddcg_partitions(k)
@@ -61,6 +70,8 @@ class TestCountRows:
         with pytest.raises(ValueError):
             count_ddcg_partitions(0)
         with pytest.raises(ValueError):
+            count_ddcg_rows([3, 0])
+        with pytest.raises(ValueError):
             count_brute(0)
 
     def test_brute_scale_refusal(self):
@@ -75,16 +86,27 @@ class TestCountRows:
         monkeypatch.setattr(graphs, "MAX_LAYER_STATES", 6)
         assert count_ddcg_partitions(5) == KNOWN_ROWS[5]
 
+    @pytest.mark.parametrize("search", [
+        lambda: count_ddcg_partitions(17),
+        lambda: count_ddcg_rows([3, 17, 1]),
+        lambda: exact_moment(17, 17),
+        lambda: exact_moment(40, 17),
+        lambda: counting._cycle_grids([20], 18),
+    ], ids=["row", "rows", "moment at n = k", "moment at n < k", "grid"])
+    def test_past_the_deepest_cycle_refused_before_the_search(self, no_counting, search):
+        with pytest.raises(ScaleLimitError, match="past k = 16"):
+            search()
+
     @pytest.mark.parametrize("k", range(1, 9))
     def test_one_class_oracle(self, monkeypatch, k):
         assert one_class_row(monkeypatch, k) == count_ddcg_partitions(k)
 
     def test_first_row_past_the_reference_table(self):
-        assert list(ftable_row(12)) == ROW_24
+        assert count_ddcg_partitions(12) == ROW_24
 
     @pytest.mark.parametrize("k", [12, 13])
     def test_closed_form_columns_past_the_reference_table(self, k):
-        row = ftable_row(k)  # the cached rows, computed by count_ddcg_partitions
+        row = count_ddcg_partitions(k)
         assert row[0] == 1
         assert row[1] == math.comb(2 * k, k) - 1
         assert row[k] == math.comb(2 * k, k) // (k + 1)
@@ -92,14 +114,14 @@ class TestCountRows:
 
 class TestOneSearch:
     def test_a_row_serves_every_later_request(self, block_grid_calls):
-        ftable_row(12)
-        exact_moment(12, 20)
         count_ddcg_partitions(12)
+        exact_moment(12, 20)
+        count_ddcg_rows([12, 7])
         exact_moment(5, 3)
         assert block_grid_calls == [(12, 12)]
 
     def test_rows_in_any_order_are_one_search(self, block_grid_calls):
-        assert counting.count_ddcg_rows([1, 5, 3, 5]) == [KNOWN_ROWS[k] for k in (1, 5, 3, 5)]
+        assert count_ddcg_rows([1, 5, 3, 5]) == [KNOWN_ROWS[k] for k in (1, 5, 3, 5)]
         assert block_grid_calls == [(5, 5)]
 
     def test_grids_in_any_order_are_one_search(self, block_grid_calls):

@@ -17,9 +17,7 @@ from unimoments import (
     alternating_cycle,
     balanced_quotient_counts,
     balanced_quotient_counts_brute,
-    ftable_row,
-    injective_traffic_brute,
-    injective_traffic_value,
+    count_ddcg_partitions,
     is_ddcg,
     iter_partitions,
     monomial_to_pochhammer,
@@ -28,6 +26,7 @@ from unimoments import (
     traffic_state_brute,
 )
 from unimoments import graphs
+from unimoments.graphs import injective_traffic_value
 from unimoments.tables import REFERENCE_COUNTS
 from unimoments.sampling import unimodular_batch
 
@@ -202,6 +201,16 @@ class TestInjectiveTrafficValue:
         assert injective_traffic_value(chain, 3) == 0
         assert injective_traffic_value(chain, 4) == Fraction(math.perm(4, 4), 4) == 6
 
+    @settings(deadline=None)
+    @given(colored_digraphs(max_vertices=6), st.sampled_from([1, 2, 3, 5]))
+    @example(alternating_cycle(3), 5)
+    def test_sums_over_the_partitions_to_the_traffic_state(self, g, n):
+        # every vertex map factors through the partition of its fibres, and the maps
+        # injective on the blocks of a partition give its quotient's injective state
+        via_lattice = sum((injective_traffic_value(quotient(g, p), n)
+                           for p in iter_partitions(g.vertex_count)), Fraction(0))
+        assert via_lattice == tau_via_quotients(g, n)
+
 
 class TestTauViaQuotients:
     def test_two_cycle(self):
@@ -213,8 +222,6 @@ class TestTauViaQuotients:
 
     def test_matches_count_weighted_pochhammer(self):
         # tau over the 2k-cycle must equal sum_j F(2k,j) (n)_j / n
-        from unimoments import count_ddcg_partitions
-
         for k in (1, 2, 3):
             row = count_ddcg_partitions(k)
             for n in (1, 2, 3, 5):
@@ -336,7 +343,7 @@ class TestBalancedQuotientCounts:
         elif n == 24:
             expected = [0, *ROW_24] + [0] * (k - 1)
         else:
-            expected = [0, *ftable_row(k)] + [0] * (k - 1)
+            expected = [0, *count_ddcg_partitions(k)] + [0] * (k - 1)
         assert balanced_quotient_counts(rotated) == expected
 
     @pytest.mark.parametrize("k", range(1, 12))
@@ -360,7 +367,6 @@ class TestBruteOracles:
     def test_empty_graph_is_one(self):
         g = ColoredDigraph(1, ())
         assert traffic_state_brute(g, 3, 100, seed=1) == pytest.approx(1.0)
-        assert injective_traffic_brute(g, 3, 100, seed=1) == pytest.approx(1.0)
 
     def test_deterministic_in_seed_and_samples(self):
         g = alternating_cycle(2)
@@ -375,23 +381,17 @@ class TestBruteOracles:
             traffic_state_brute(alternating_cycle(2), 2, 300, seed=1.9)
 
     def test_chunking_does_not_change_the_estimate(self, monkeypatch):
-        # on these two graphs with loops, a lone sample summed on its own, or
-        # masks broadcast along the samples, changed the last bits
+        # on the graphs with loops, a lone sample summed on its own changed the last bits
         loops_2 = ColoredDigraph(2, ((0, 1, R), (0, 0, B), (0, 1, B), (1, 1, R)))
         loop_4 = ColoredDigraph(4, ((2, 1, B), (1, 2, B), (0, 0, B), (3, 2, R)))
-        cases = [
-            (traffic_state_brute, alternating_cycle(2), 3),
-            (traffic_state_brute, loops_2, 6),
-            (injective_traffic_brute, loop_4, 4),
-            (traffic_state_brute, alternating_cycle(3), 4),
-            (injective_traffic_brute, alternating_cycle(3), 6),
-        ]
-        for brute, g, n in cases:
-            whole = brute(g, n, 50, seed=4, with_stderr=True)
+        cases = [(alternating_cycle(2), 3), (loops_2, 6), (loop_4, 4),
+                 (alternating_cycle(3), 4), (alternating_cycle(3), 6)]
+        for g, n in cases:
+            whole = traffic_state_brute(g, n, 50, seed=4, with_stderr=True)
             # chunks of one sample each, and of 7: 50 samples leave a lone last one
             for chunk in (1, 7):
                 monkeypatch.setattr(graphs, "_BRUTE_BUDGET", chunk * n ** g.vertex_count)
-                assert brute(g, n, 50, seed=4, with_stderr=True) == whole
+                assert traffic_state_brute(g, n, 50, seed=4, with_stderr=True) == whole
             monkeypatch.undo()
 
     def test_chunks_stay_within_the_budget_at_the_ceiling(self, monkeypatch):
@@ -402,15 +402,13 @@ class TestBruteOracles:
             return unimodular_batch(n, seed, start, count)
 
         monkeypatch.setattr(graphs, "unimodular_batch", recording)
-        for brute in (traffic_state_brute, injective_traffic_brute):
-            brute(alternating_cycle(3), 6, 30, seed=1)
+        traffic_state_brute(alternating_cycle(3), 6, 30, seed=1)
         assert counts and max(counts) * 6 ** 6 <= graphs._BRUTE_BUDGET
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_fewer_than_one_sample_refused(self, samples):
-        for brute in (traffic_state_brute, injective_traffic_brute):
-            with pytest.raises(ValueError, match="at least one sample"):
-                brute(alternating_cycle(1), 2, samples, seed=0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            traffic_state_brute(alternating_cycle(1), 2, samples, seed=0)
 
     def test_two_cycle_matches_quotient_sum(self):
         g = alternating_cycle(1)
@@ -419,18 +417,14 @@ class TestBruteOracles:
 
     def test_injective_matches_exact_value(self):
         g = quotient(alternating_cycle(2), (0, 1, 0, 2))
-        mean, se = injective_traffic_brute(g, 3, 3000, seed=5, with_stderr=True)
+        mean, se = injective_map_mean(g, 3, 3000, seed=5)
         exact = injective_traffic_value(g, 3)  # (3)_3 / 3 = 2
         assert abs(mean - float(exact)) <= 4 * se + 1e-9
 
     def test_injective_vanishes_when_unbalanced(self):
         g = quotient(alternating_cycle(2), (0, 0, 1, 2))
-        mean, se = injective_traffic_brute(g, 3, 3000, seed=6, with_stderr=True)
+        mean, se = injective_map_mean(g, 3, 3000, seed=6)
         assert abs(mean) <= 4 * se + 1e-9
-
-    def test_injective_exactly_zero_when_too_few_labels(self):
-        g = alternating_cycle(2)  # 4 vertices
-        assert injective_traffic_brute(g, 3, 200, seed=2) == 0
 
     def test_scale_refusal(self):
         with pytest.raises(ScaleLimitError):
@@ -453,35 +447,33 @@ def literal_map_sum(g, u, injective):
     return total / n
 
 
+def injective_map_mean(g, n, samples, seed):
+    """Mean and standard error of ``literal_map_sum`` over injective maps, over sampled U."""
+    values = np.array([literal_map_sum(g, u, True) for u in unimodular_batch(n, seed, 0, samples)])
+    variance = (np.abs(values - values.mean()) ** 2).sum() / (samples - 1)
+    return values.mean(), np.sqrt(variance / samples)
+
+
 class TestBruteContraction:
-    """The contraction of the brute-force oracles is the literal sum over vertex maps.
+    """The contraction of the brute-force oracle is the literal sum over vertex maps.
 
     Every term has modulus 1, so the tolerance is 1e-12 of the sum of the
-    terms' moduli; when no map is injective that is 0, and the oracle must
-    give exactly 0.
+    terms' moduli.
     """
 
     @settings(deadline=None, max_examples=40)
-    @given(colored_digraphs(max_vertices=5, max_edges=6, min_vertices=0), st.integers(1, 4),
-           st.booleans())
-    @example(ColoredDigraph(0, ()), 2, False)
-    @example(ColoredDigraph(0, ()), 2, True)
-    @example(ColoredDigraph(3, ()), 2, False)  # edgeless
-    @example(ColoredDigraph(3, ()), 2, True)  # edgeless, no injective map
-    @example(ColoredDigraph(2, ((0, 0, R), (0, 0, B), (1, 1, R))), 3, False)  # loops
-    @example(ColoredDigraph(2, ((0, 0, R), (0, 0, B), (1, 1, R))), 3, True)
-    @example(ColoredDigraph(3, ((0, 1, R), (0, 1, R), (1, 0, B))), 3, False)  # parallel, isolated
-    @example(ColoredDigraph(4, ((1, 2, R), (2, 1, B))), 4, True)  # isolated, injective
-    @example(alternating_cycle(2), 3, True)  # N < V
-    def test_equals_the_literal_sum(self, g, n, injective):
-        brute = injective_traffic_brute if injective else traffic_state_brute
-        maps = math.perm(n, g.vertex_count) if injective else n ** g.vertex_count
-        values = [literal_map_sum(g, u, injective) for u in unimodular_batch(n, 11, 0, 3)]
+    @given(colored_digraphs(max_vertices=5, max_edges=6, min_vertices=0), st.integers(1, 4))
+    @example(ColoredDigraph(0, ()), 2)
+    @example(ColoredDigraph(3, ()), 2)  # edgeless
+    @example(ColoredDigraph(2, ((0, 0, R), (0, 0, B), (1, 1, R))), 3)  # loops
+    @example(ColoredDigraph(3, ((0, 1, R), (0, 1, R), (1, 0, B))), 3)  # parallel, isolated
+    @example(ColoredDigraph(4, ((1, 2, R), (2, 1, B))), 4)  # isolated
+    def test_equals_the_literal_sum(self, g, n):
+        maps = n ** g.vertex_count
+        values = [literal_map_sum(g, u, False) for u in unimodular_batch(n, 11, 0, 3)]
         for samples in (1, 3):
-            got = brute(g, n, samples, seed=11)
+            got = traffic_state_brute(g, n, samples, seed=11)
             assert abs(got - sum(values[:samples]) / samples) <= 1e-12 * maps / n
-            if not maps:
-                assert got == 0j
 
 
 class TestBruteAgainstQuotientSum:

@@ -13,7 +13,7 @@ from unimoments import (
     estimate_moment,
     validate_against_exact,
 )
-from unimoments import montecarlo, polynomials
+from unimoments import counting, montecarlo
 from unimoments.sampling import unimodular_batch
 
 
@@ -148,13 +148,13 @@ def record_batches(monkeypatch, compute=True):
     calls = []
     original = montecarlo._batch_traces
 
-    def counting(n, powers, seed, start, count):
+    def recording(n, powers, seed, start, count):
         calls.append((start, count))
         if compute:
             return original(n, powers, seed, start, count)
         return np.zeros((count, len(powers)))
 
-    monkeypatch.setattr(montecarlo, "_batch_traces", counting)
+    monkeypatch.setattr(montecarlo, "_batch_traces", recording)
     return calls
 
 
@@ -321,7 +321,8 @@ class TestValidateAgainstExact:
         assert block_grid_calls == [(6, 6)]
 
     def test_exact_value_at_small_n_builds_no_row(self, monkeypatch, block_grid_calls):
-        monkeypatch.setattr(polynomials, "ftable_row", lambda k: pytest.fail("built the row"))
+        for name in ("count_ddcg_partitions", "count_ddcg_rows"):
+            monkeypatch.setattr(counting, name, lambda ks: pytest.fail("built a row"))
         estimate_moment(4, 16, 100, seed=0)
         assert block_grid_calls == [(16, 4)]
 

@@ -14,13 +14,13 @@ from unimoments import (
     ScaleLimitError,
     borel_entry,
     conjectured_ftable,
+    count_ddcg_partitions,
     exact_moment,
     find_disproof,
-    ftable_row,
     monomial_to_pochhammer,
     pochhammer_to_monomial,
 )
-from unimoments import polynomials
+from unimoments import counting
 from unimoments.tables import CONJECTURED_COUNTS, REFERENCE_COUNTS
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
@@ -220,26 +220,14 @@ class TestFindDisproof:
 
     def test_explicit_rows_override(self, monkeypatch):
         rows = {1: (1, 1), 2: (1, 5, 3)}  # deliberately wrong F(4, 3)
-        monkeypatch.setattr(polynomials, "ftable_row", rows.__getitem__)
+        monkeypatch.setattr(counting, "count_ddcg_rows", lambda ks: [rows[k] for k in ks])
         assert find_disproof(2) == [(2, 3, 2, 3)]
 
-
-class TestFtableRow:
-    def test_computed_matches_reference(self):
-        for k in range(1, 7):
-            assert ftable_row(k) == REFERENCE_COUNTS[2 * k]
-
-    def test_large_k_uses_reference(self):
-        # the deepest reference row, computed like every other
-        assert ftable_row(11) == REFERENCE_COUNTS[22]
-
-    def test_beyond_reference_refused(self, tiny_layer_guard):
-        with pytest.raises(ScaleLimitError, match="10 states"):
-            ftable_row(12)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            ftable_row(0)
+    def test_past_the_deepest_cycle_refused_before_the_rows_are_listed(self, no_counting,
+                                                                         monkeypatch):
+        monkeypatch.setattr(counting, "count_ddcg_rows", lambda ks: pytest.fail("listed rows"))
+        with pytest.raises(ScaleLimitError, match="past k = 16"):
+            find_disproof(10**9)
 
 
 class TestExactMoment:
@@ -258,7 +246,7 @@ class TestExactMoment:
 
     @pytest.mark.parametrize("k", range(1, 12))
     def test_row_sum_equals_the_polynomial(self, k):
-        coeffs = pochhammer_to_monomial(ftable_row(k))
+        coeffs = pochhammer_to_monomial(count_ddcg_partitions(k))
         for n in range(1, 10):
             assert exact_moment(k, n) == moment_from_monomials(k, n, coeffs)
 

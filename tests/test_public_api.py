@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, and the README examples run."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -43,3 +44,46 @@ def test_readme_command_line_runs(capsys, argv):
     assert cli.main(argv[1:]) == 0
     if "csv" not in argv:
         jsonschema.validate(json.loads(capsys.readouterr().out), cli.OUTPUT_SCHEMAS[argv[1]])
+
+
+def benchmark_names():
+    """Every ``unimoments`` name the benchmark in ``perfbench/`` imports or reads.
+
+    Tier 1 does not collect the benchmark, so a name that leaves the package
+    would otherwise surface only when the benchmark runs.  Each
+    ``from unimoments... import x`` and each ``module.attr`` read on a name
+    bound to a ``unimoments`` module is a (module, attr) pair.
+    """
+    pairs = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {}  # local name -> dotted module name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((alias.asname or alias.name, alias.name) for alias in node.names
+                               if alias.name.split(".")[0] == "unimoments")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "unimoments":
+                for alias in node.names:
+                    pairs.add((node.module, alias.name))
+                    if f"{node.module}.{alias.name}" in MODULES:
+                        modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        pairs.update((modules[node.value.id], node.attr) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in modules and isinstance(node.ctx, ast.Load))
+    return sorted(pairs)
+
+
+BENCHMARK_NAMES = benchmark_names()
+
+
+def test_benchmark_reads_names():
+    # a parser that finds nothing would pass the test below vacuously
+    assert ("unimoments.graphs", "injective_traffic_value") in BENCHMARK_NAMES
+    assert ("unimoments.cli", "OUTPUT_SCHEMAS") in BENCHMARK_NAMES
+
+
+@pytest.mark.parametrize("module, attr", BENCHMARK_NAMES,
+                         ids=[f"{module}.{attr}" for module, attr in BENCHMARK_NAMES])
+def test_every_name_the_benchmark_reads_resolves(module, attr):
+    # a submodule need not be an attribute of its package until it is imported
+    assert hasattr(importlib.import_module(module), attr) or f"{module}.{attr}" in MODULES
