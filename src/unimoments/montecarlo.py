@@ -15,9 +15,11 @@ Determinism contract: sample i is a fixed slice of the seed's Philox stream
 (see ``sampling``), so per-sample traces depend only on (seed, sample index).
 They are computed in fixed batches aligned to absolute sample indices, each
 batch one contiguous draw from the stream, so estimates are bit-identical for
-every thread count; the final reduction is a single numpy pairwise sum over
-the index-ordered array.  Batches run on a pool of threads in the calling
-process: every stage of a batch is numpy work that releases the GIL.  Outside
+every thread count and batch size.  A batch holds a few MiB of matrices
+(``_BATCH_ENTRIES``) and writes its rows of the one preallocated trace array;
+the final reduction is a single numpy pairwise sum over that index-ordered
+array.  Batches run on a pool of threads in the calling process: every stage
+of a batch is numpy work that releases the GIL.  Outside
 ``THREADED_DIMENSIONS`` the pool is one thread; inside, one per CPU and batch.
 """
 
@@ -45,7 +47,7 @@ __all__ = [
 MAX_DIMENSION = 256
 MAX_POWER = 16
 MIN_SAMPLES = 100
-MAX_TRACES = 1 << 24  # samples x powers held: 128 MiB as float64, twice that in the join
+MAX_TRACES = 1 << 24  # samples x powers held: 128 MiB as float64, in one array
 
 HERMITIAN_DRIFT_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-10
@@ -54,13 +56,16 @@ EIGENVALUE_FLOOR = -1e-10
 DETERMINISTIC_DIFF_FLOOR = 1e-12
 
 _BATCH = 1024  # samples at most in a batch, the unit of work splitting
-_BATCH_ENTRIES = 1 << 22  # matrix entries at most in a batch: 64 MiB as complex128
+# Matrix entries at most in a batch: a complex128 stack is 4 MiB, and a batch holds
+# about three.  Larger batches cost more per sample at every stage, since their
+# temporaries are freshly paged in and miss the cache.  N <= 16 keeps _BATCH samples.
+_BATCH_ENTRIES = 1 << 18
 # Dimensions whose batches run on more than one thread.  On a 2-core host
 # (estimate_moment, 1 thread against 2) a second thread costs 7-10% at N = 2, 3,
-# where a batch is too little numpy work, and saves 16-17% at N = 4 and 60.  From
-# N = 64 OpenBLAS already spreads each product over the cores: 2 threads are 2-8%
-# slower at N = 64 and 96, and hold one more batch each.
-THREADED_DIMENSIONS = range(4, 64)
+# where a batch is too little numpy work, and saves 30-52% at N = 4 to 40.  From
+# N = 41 OpenBLAS spreads each complex product over the cores itself, and a second
+# pool thread contends with it: 15-55% slower at N = 41, 48, 63, 64, 96 and 128.
+THREADED_DIMENSIONS = range(4, 41)
 
 
 @dataclass(frozen=True)
@@ -152,10 +157,15 @@ def _all_traces(n: int, powers: tuple[int, ...], samples: int, seed: int,
     starts = range(0, samples, size)
     cpus = os.cpu_count() or 1
     width = min(workers or cpus, cpus, len(starts)) if n in THREADED_DIMENSIONS else 1
+    traces = np.empty((samples, len(powers)))
+
+    def fill(start: int) -> None:
+        stop = min(start + size, samples)
+        traces[start:stop] = _batch_traces(n, powers, seed, start, stop - start)
+
     with ThreadPoolExecutor(max_workers=width) as pool:
-        return np.concatenate(list(pool.map(
-            lambda start: _batch_traces(n, powers, seed, start, min(size, samples - start)),
-            starts)), axis=0)
+        list(pool.map(fill, starts))  # reading each result raises a batch's error
+    return traces
 
 
 def _check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],

@@ -1,6 +1,8 @@
 """Monte Carlo estimator tests: determinism, invariants, statistics."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unimoments import (
+    ColoredDigraph,
     InternalCheckError,
     ScaleLimitError,
+    alternating_cycle,
     estimate_moment,
+    exact_moment,
+    tau_via_quotients,
     validate_against_exact,
 )
 from unimoments import counting, montecarlo
@@ -182,18 +188,99 @@ class TestBatchLayout:
         assert (got == want).all()
         assert pool_widths == [1, 2]
 
-    @pytest.mark.parametrize("n, size", [(1, 1024), (64, 1024), (65, 992), (128, 256), (256, 64)])
+    @pytest.mark.parametrize("n, size", [(1, 1024), (16, 1024), (17, 907), (64, 64), (128, 16),
+                                         (256, 4)])
     def test_batches_are_bounded_by_entries(self, monkeypatch, n, size):
         calls = record_batches(monkeypatch, compute=False)
-        traces = montecarlo._all_traces(n, (2,), 2 * size + 5, seed=0, workers=2)
-        assert sorted(calls) == [(0, size), (size, size), (2 * size, 5)]
-        assert traces.shape == (2 * size + 5, 1)
+        traces = montecarlo._all_traces(n, (2,), 2 * size + 3, seed=0, workers=2)
+        assert sorted(calls) == [(0, size), (size, size), (2 * size, 3)]
+        assert traces.shape == (2 * size + 3, 1)
+
+    # a 64 MiB budget holds each of these runs in one batch per dimension
+    @pytest.mark.parametrize("run", [
+        lambda: estimate_moment(64, 4, 300, seed=19),
+        lambda: estimate_moment(128, 2, 100, seed=23),
+        lambda: validate_against_exact(3, [17, 40], 1000, seed=29).entries,
+    ], ids=["n64", "n128", "validate"])
+    def test_budgets_give_bit_identical_results(self, monkeypatch, run):
+        calls = record_batches(monkeypatch)
+        want = run()
+        split = len(calls)
+        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 1 << 22)
+        calls.clear()
+        assert run() == want
+        assert len(calls) < split
 
     def test_one_sample_per_batch_at_least(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 1)
         calls = record_batches(monkeypatch, compute=False)
         montecarlo._all_traces(4, (2,), 3, seed=0, workers=1)
         assert calls == [(0, 1), (1, 1), (2, 1)]
+
+
+MIB = 1 << 20
+
+
+def traced_peak(call):
+    """The result of ``call()`` and the peak of memory traced while it ran; numpy
+    reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    def test_a_large_dimension_holds_small_batches(self):
+        # 64 samples at n = 128 are 16 MiB as one complex128 stack
+        _, peak = traced_peak(lambda: montecarlo._all_traces(128, (2,), 64, seed=0, workers=1))
+        assert peak <= 20 * MIB
+
+    def test_traces_are_held_once(self):
+        traces, peak = traced_peak(lambda: montecarlo._all_traces(
+            2, (1, 2, 3, 4, 5, 6), 200_000, seed=3, workers=None))
+        assert peak <= 1.25 * traces.nbytes + 2 * MIB
+
+
+def two_cycles(k):
+    """Two disjoint alternating 2k-cycles: the graph of tr((U U*)^k)^2."""
+    cycle = alternating_cycle(k)
+    shift = cycle.vertex_count
+    return ColoredDigraph(2 * shift, cycle.edges + tuple(
+        (tail + shift, head + shift, color) for tail, head, color in cycle.edges))
+
+
+class TestSpread:
+    """The sample variance of tr(rho^k) against its exact value.
+
+    A product of traces is the traffic state of a graph with several
+    components (Male, arXiv:1111.4662), so E[tr(rho^k)^2] is n tau(two_cycles(k))
+    / n^(4k+2), with tau = tau_via_quotients.  This checks the second-order
+    law of the samples, which the means alone do not.
+    """
+
+    @staticmethod
+    def exact_variance(k, n):
+        second = tau_via_quotients(two_cycles(k), n) * n / Fraction(n) ** (4 * k + 2)
+        return second - exact_moment(k, n) ** 2
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_deterministic_trace_has_no_variance(self, n):
+        # tr(rho) = 1/n in every sample
+        assert self.exact_variance(1, n) == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_sample_variance_matches_exact(self, n):
+        powers, samples = tuple(range(2, 7)), 20_000
+        traces = montecarlo._all_traces(n, powers, samples, seed=7, workers=None)
+        for k, column in zip(powers, traces.T):
+            variance = np.var(column, ddof=1)
+            fourth = np.mean((column - column.mean()) ** 4)
+            # the standard error of a sample variance, from the fourth central moment
+            std_error = math.sqrt((fourth - variance ** 2) / samples)
+            z = (variance - float(self.exact_variance(k, n))) / std_error
+            assert abs(z) <= 4.0, (k, n, z)
 
 
 class TestEstimateMoment:
