@@ -22,7 +22,7 @@ def pretty(coeffs, term):
     return " ".join(parts) or "0"
 
 
-for k, row in enumerate(count_ddcg_rows(range(1, 8)), start=1):
+for k, row in enumerate(count_ddcg_rows(7), start=1):
     print(f"k = {k}")
     print(f"  falling factorial: {pretty(row, '(N)')}")
     print(f"  monomial:          {pretty(pochhammer_to_monomial(row), 'N')}")

@@ -10,7 +10,7 @@ from unimoments import conjectured_ftable, count_ddcg_rows, find_disproof
 
 print("prediction vs exact, k = 1..6")
 print()
-for k, actual in enumerate(count_ddcg_rows(range(1, 7)), start=1):
+for k, actual in enumerate(count_ddcg_rows(6), start=1):
     predicted = conjectured_ftable(k)
     status = "exact" if predicted == actual else "WRONG"
     print(f"k = {k} [{status}]")

@@ -162,13 +162,12 @@ def _cmd_count(args):
     if args.workers is not None and args.workers < 1:
         raise ValueError("workers must be >= 1")
     lo, hi = args.k_range or (args.k, args.k)
-    # refuse before the oracle spends minutes on the smaller k, or the range is listed
+    # refuse before the oracle spends minutes on the smaller k
     if args.brute and hi > counting.BRUTE_MAX_K:
         raise ScaleLimitError(f"brute-force oracle limited to k <= {counting.BRUTE_MAX_K}")
-    counting._check_depth(hi, hi)
     ks = range(lo, hi + 1)
     counts = ([counting.count_brute(k) for k in ks] if args.brute
-              else counting.count_ddcg_rows(ks))
+              else counting.count_ddcg_rows(hi)[lo - 1:])
     rows = [
         {"two_k": 2 * k, "j": j, "count": c}
         for k, row in zip(ks, counts)
@@ -189,10 +188,7 @@ def _cmd_poly(args):
 
 
 def _cmd_conjecture(args):
-    if args.k_max < 1:
-        raise ValueError("--k-max must be >= 1")
-    counting._check_depth(args.k_max, args.k_max)  # before a range of rows is listed
-    actual = counting.count_ddcg_rows(range(1, args.k_max + 1))
+    actual = counting.count_ddcg_rows(args.k_max)
     rows = [
         {"two_k": 2 * k, "j": j, "conjectured": p, "actual": a, "match": p == a}
         for k, row in enumerate(actual, start=1)

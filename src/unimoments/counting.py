@@ -12,9 +12,10 @@ indices (even vertices) in separate blocks, and prunes exactly on the
 imbalance mass and the edge parity.  One search of the 2k-cycle yields the
 block grid of every row up to 2k, and this module keeps one grid per k, at
 the widest cap searched so far, for the rows here and for
-``polynomials.exact_moment``.  A caller that needs many rows names them in
-one call (``count_ddcg_rows``, ``_cycle_grids``), which searches once, and a
-search that must outgrow the engine's layer guard is refused before it starts.
+``polynomials.exact_moment``.  So every request is a prefix of rows, named
+by its deepest row (``count_ddcg_rows``, ``_cycle_grids``), and searches
+once; a search that must outgrow the engine's layer guard is refused here,
+before it starts.
 ``count_brute`` is the independent oracle:
 the same row from ``graphs.balanced_quotient_counts_brute``, which walks the
 full partition lattice through the graph-core quotient and balance
@@ -51,37 +52,29 @@ def _row(k: int, counts: list[int]) -> list[int]:
 _grids: dict[int, tuple[int, dict[tuple[int, int], int]]] = {}
 
 
-def _check_depth(k_max: int, cap: int) -> None:
-    """Raise ScaleLimitError for a sweep to ``k_max`` at ``cap`` that must outgrow the
-    layer guard (see ``graphs.MAX_CYCLE_K``)."""
-    if min(cap, k_max) > graphs.MAX_CYCLE_K:
-        raise ScaleLimitError(f"rows and caps past k = {graphs.MAX_CYCLE_K} outgrow "
-                              f"{graphs.MAX_LAYER_STATES} layer states (got k = {k_max}, cap {cap})")
-
-
-def _cycle_grids(ks, cap: int) -> dict[int, dict[tuple[int, int], int]]:
-    """The 2k-cycle's block grid for every k in ``ks``, capped at ``cap`` blocks per class, or wider.
+def _cycle_grids(k_max: int, cap: int) -> list[dict[tuple[int, int], int]]:
+    """The 2k-cycle's block grid for k = 1, ..., k_max, capped at ``cap`` blocks per class, or wider.
 
     Each class of the cycle has k vertices, so a cap of k or more gives the
     whole grid, and a grid serves every smaller cap.  When a grid is
-    missing, or narrower than asked, one search of the deepest cycle
-    (``graphs._cycle_sweep``) yields every row up to max(ks); each row's
-    grid is kept unless a wider one is kept already.  So a call searches at
-    most once, whatever the order of ``ks``, and a caller with many rows
-    passes them all in one call.  Raises ScaleLimitError before any search
-    when min(cap, max(ks)) exceeds ``graphs.MAX_CYCLE_K``, and when the
-    engine's layers outgrow ``graphs.MAX_LAYER_STATES``.
+    missing, or narrower than asked, one search of the 2k_max-cycle
+    (``graphs._cycle_sweep``) yields every row up to k_max; each row's grid
+    is kept unless a wider one is kept already.  Raises ScaleLimitError
+    before any search when min(cap, k_max) exceeds ``graphs.MAX_CYCLE_K``,
+    and when the engine's layers outgrow ``graphs.MAX_LAYER_STATES``.
     """
-    ks = [operator.index(k) for k in ks]
-    if min(ks, default=1) < 1:
+    k_max = operator.index(k_max)
+    if k_max < 1:
         raise ValueError("k must be a positive integer")
-    _check_depth(max(ks, default=1), cap)
+    if min(cap, k_max) > graphs.MAX_CYCLE_K:
+        raise ScaleLimitError(f"rows and caps past k = {graphs.MAX_CYCLE_K} outgrow "
+                              f"{graphs.MAX_LAYER_STATES} layer states (got k = {k_max}, cap {cap})")
+    ks = range(1, k_max + 1)
     if any(_grids.get(k, (0,))[0] < min(cap, k) for k in ks):
-        k_max = max(ks)
-        for j, grid in enumerate(graphs._cycle_sweep(k_max, min(cap, k_max)), start=1):
-            if _grids.get(j, (0,))[0] < min(cap, j):
-                _grids[j] = min(cap, j), grid
-    return {k: _grids[k][1] for k in ks}
+        for k, grid in zip(ks, graphs._cycle_sweep(k_max, min(cap, k_max))):
+            if _grids.get(k, (0,))[0] < min(cap, k):
+                _grids[k] = min(cap, k), grid
+    return [_grids[k][1] for k in ks]
 
 
 _cycle_grids.cache_clear = _grids.clear  # emptied like the functools caches
@@ -93,17 +86,13 @@ def count_ddcg_partitions(k: int) -> list[int]:
     Raises ScaleLimitError past k = ``graphs.MAX_CYCLE_K``, before any
     search, and when the engine's layers outgrow ``graphs.MAX_LAYER_STATES``.
     """
-    return _row(k, graphs._grid_counts(_cycle_grids((k,), k)[k], 2 * k))
+    return _row(k, graphs._grid_counts(_cycle_grids(k, k)[-1], 2 * k))
 
 
-def count_ddcg_rows(ks) -> list[list[int]]:
-    """``count_ddcg_partitions(k)`` for every k in ``ks``, in order, from one search at most.
-
-    ``ks`` is read once, so any iterable will do.
-    """
-    ks = list(ks)
-    _cycle_grids(ks, max(ks, default=1))  # the deepest row's search keeps every shallower one
-    return [count_ddcg_partitions(k) for k in ks]
+def count_ddcg_rows(k_max: int) -> list[list[int]]:
+    """``count_ddcg_partitions(k)`` for k = 1, ..., k_max, from one search at most."""
+    _cycle_grids(k_max, k_max)  # the deepest row's search keeps every shallower one
+    return [count_ddcg_partitions(k) for k in range(1, k_max + 1)]
 
 
 def count_brute(k: int) -> list[int]:

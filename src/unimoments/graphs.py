@@ -198,7 +198,7 @@ def injective_traffic_value(g: ColoredDigraph, n: int) -> Fraction:
     Equals (n)_|V| / n when the colored graph is balanced and 0 otherwise;
     (n)_j is the falling factorial, which vanishes once |V| > n.
     """
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError("matrix dimension must be >= 1")
     if not is_ddcg(g):
         return Fraction(0)
@@ -232,7 +232,7 @@ def balanced_quotient_counts(g: ColoredDigraph) -> list[int]:
     Every edge pairs a row index with a column index (``_vertex_classes``),
     and merging a row block with a column block changes no balance.  So the
     vertices are split into classes, and blocks never mix classes: the
-    search (``_block_grid``) counts G(a, b), the balanced pairs of a row
+    search (``_layers``) counts G(a, b), the balanced pairs of a row
     partition with a blocks and a column partition with b blocks, and this
     function turns them into counts by block count with
     (N)_a (N)_b = sum_t C(a, t) C(b, t) t! (N)_(a+b-t), t being the number
@@ -275,7 +275,24 @@ def balanced_quotient_counts_brute(g: ColoredDigraph) -> list[int]:
 
 def _block_grid(g: ColoredDigraph, cap: int | None = None) -> dict[tuple[int, int], int]:
     """G(a, b) of ``balanced_quotient_counts`` at each (a, b) where it is not 0,
-    with a, b <= ``cap`` if one is given.
+    with a, b <= ``cap`` if one is given, read off the last layer of ``_layers``.
+    """
+    if g.edge_count % 2:
+        return {}
+    for layer in _layers(g, cap):
+        pass
+    # at most the one key with no active block and an empty ledger (l1 <= 0 edges left)
+    return next(iter(layer.values()), {})
+
+
+def _key_code(g: ColoredDigraph) -> str:
+    # A key is [r_0, r_1, active blocks..., (u, w, balance + E) per ledger
+    # entry].  Every item is in 0..max(V, 2E): one byte each whenever that fits.
+    return "B" if max(g.vertex_count, 2 * g.edge_count) < 256 else "I"
+
+
+def _layers(g: ColoredDigraph, cap: int | None):
+    """Yield the layers of the block-grid search after 0, 1, ..., V vertices placed.
 
     A forward dynamic program over the vertices in index order assigns each
     vertex a block of its class and applies every edge when its later
@@ -310,26 +327,10 @@ def _block_grid(g: ColoredDigraph, cap: int | None = None) -> dict[tuple[int, in
     m_c = cap.  What is left is the uncapped grid restricted to a, b <= cap,
     which is all that (n)_a (n)_b at n = cap can see.  No class has more
     blocks than vertices, so without a cap it is ``g.vertex_count``.
-    """
-    if g.edge_count % 2:
-        return {}
-    for layer in _layers(g, cap):
-        pass
-    # at most the one key with no active block and an empty ledger (l1 <= 0 edges left)
-    return next(iter(layer.values()), {})
-
-
-def _key_code(g: ColoredDigraph) -> str:
-    # A key is [r_0, r_1, active blocks..., (u, w, balance + E) per ledger
-    # entry].  Every item is in 0..max(V, 2E): one byte each whenever that fits.
-    return "B" if max(g.vertex_count, 2 * g.edge_count) < 256 else "I"
-
-
-def _layers(g: ColoredDigraph, cap: int | None):
-    """Yield the layer of ``_block_grid``'s search after 0, 1, ..., V vertices placed.
 
     The first layer, before any vertex, holds the one empty key.  Only the
-    layer just yielded and the one being built are alive at once.
+    layer just yielded and the one being built are alive at once.  Raises
+    ScaleLimitError when a layer outgrows MAX_LAYER_STATES.
     """
     vertex_count, edge_count = g.vertex_count, g.edge_count
     cap = vertex_count if cap is None else cap
@@ -344,20 +345,90 @@ def _layers(g: ColoredDigraph, cap: int | None):
         # red u -> w adds 1 to pair (u, w); blue w -> u takes 1 from the same pair
         placed_with[later].append((tail, head, 1) if color is Color.RED else (head, tail, -1))
     code = _key_code(g)
+    unset = vertex_count  # above every block label
     layer = {array(code, [0, 0]).tobytes(): {(0, 0): 1}}
     yield layer
     active: list[int] = []
     remaining = edge_count
     for v in range(vertex_count):
+        # a slot indexes the active vertices of a key, in order, then v
+        width = len(active)
         slot = {u: i for i, u in enumerate(active)}
-        slot[v] = len(active)
+        slot[v] = width
         edges = [(slot[x], slot[y], delta) for x, y, delta in placed_with[v]]
         remaining -= len(edges)
-        slot_classes = [classes[u] for u in slot]
+        new_class = classes[v]
         active = [u for u in active + [v] if last_neighbour[u] > v]
-        keep = [slot[u] for u in active]
-        layer = _next_layer(layer, code, slot_classes, column, edges, keep, remaining,
-                            edge_count, cap)
+        keep_classes = [(slot[u], classes[u]) for u in active]
+        nxt: dict[bytes, dict[tuple[int, int], int]] = {}
+        for key, prefixes in layer.items():
+            items = array(code, key)
+            r = items[new_class]
+            labels = list(items[2:width + 2])
+            ledger = {}
+            l1 = 0
+            for i in range(width + 2, len(items), 3):
+                u, w, balance = items[i], items[i + 1], items[i + 2] - edge_count
+                ledger[u, w] = balance
+                l1 += abs(balance)
+            # labels 0..r_c-1 are the labelled blocks of the new vertex's class;
+            # label r_c is an unlabelled block or a new one, unless r_c = cap
+            for c in range(min(r + 1, cap)):
+                blocks = labels + [c]
+                child = dict(ledger)
+                child_l1 = l1
+                for x, y, delta in edges:
+                    pair = (blocks[x], blocks[y])
+                    old = child.get(pair, 0)
+                    new = old + delta
+                    child_l1 += abs(new) - abs(old)
+                    if new:
+                        child[pair] = new
+                    else:
+                        del child[pair]
+                if child_l1 > remaining:
+                    continue
+                relabel: tuple[dict[int, int], dict[int, int]] = ({}, {})
+                rows, columns = relabel[0], relabel[column]
+                out = [0, 0]
+                for x, cls in keep_classes:
+                    fresh = relabel[cls]
+                    out.append(fresh.setdefault(blocks[x], len(fresh)))
+                triples = []
+                loose = []
+                for (u, w), balance in child.items():
+                    a, b = columns.get(u, unset), rows.get(w, unset)
+                    if a == unset or b == unset:
+                        loose.append((a, b, balance, u, w))
+                    else:
+                        triples.append((a, b, balance + edge_count))
+                loose.sort()
+                for _, _, balance, u, w in loose:
+                    a = columns.setdefault(u, len(columns))
+                    b = rows.setdefault(w, len(rows))
+                    triples.append((a, b, balance + edge_count))
+                triples.sort()
+                for triple in triples:
+                    out.extend(triple)
+                out[0], out[1] = len(relabel[0]), len(relabel[1])
+                child_key = array(code, out).tobytes()
+                merged = nxt.setdefault(child_key, {})
+                if c < r:
+                    for ab, ways in prefixes.items():
+                        merged[ab] = merged.get(ab, 0) + ways
+                    continue
+                for (a, b), ways in prefixes.items():
+                    m = b if new_class else a
+                    if m > r:
+                        merged[a, b] = merged.get((a, b), 0) + ways * (m - r)
+                    if m < cap:
+                        grown = (a, b + 1) if new_class else (a + 1, b)
+                        merged[grown] = merged.get(grown, 0) + ways
+            if len(nxt) > MAX_LAYER_STATES:
+                raise ScaleLimitError(
+                    f"a balanced-quotient layer outgrew {MAX_LAYER_STATES} states"
+                )
+        layer = nxt
         yield layer
 
 
@@ -381,90 +452,6 @@ def _cycle_sweep(k_max: int, cap: int):
             yield next(iter(layer.values()), {})
         elif placed and placed % 2 == 0:
             yield layer.get(closing, {})
-
-
-def _next_layer(layer: dict, code: str, slot_classes: list[int], column: int, edges, keep,
-                remaining: int, offset: int, cap: int) -> dict:
-    """Place one vertex in every state of ``layer``; see _block_grid.
-
-    ``slot_classes`` holds the class of each active vertex of a key of
-    ``layer``, in order, then that of the new vertex; in ``edges`` and
-    ``keep`` a slot indexes that list.  A ledger entry's first block has
-    class ``column`` and its second class 0.
-    """
-    width = len(slot_classes) - 1
-    new_class = slot_classes[width]
-    keep_classes = [(x, slot_classes[x]) for x in keep]
-    unset = offset * 2 + width + 2  # above every block label
-    nxt: dict[bytes, dict[tuple[int, int], int]] = {}
-    for key, prefixes in layer.items():
-        items = array(code, key)
-        r = items[new_class]
-        labels = list(items[2:width + 2])
-        ledger = {}
-        l1 = 0
-        for i in range(width + 2, len(items), 3):
-            u, w, balance = items[i], items[i + 1], items[i + 2] - offset
-            ledger[u, w] = balance
-            l1 += abs(balance)
-        # labels 0..r_c-1 are the labelled blocks of the new vertex's class;
-        # label r_c is an unlabelled block or a new one, unless r_c = cap
-        for c in range(min(r + 1, cap)):
-            blocks = labels + [c]
-            child = dict(ledger)
-            child_l1 = l1
-            for x, y, delta in edges:
-                pair = (blocks[x], blocks[y])
-                old = child.get(pair, 0)
-                new = old + delta
-                child_l1 += abs(new) - abs(old)
-                if new:
-                    child[pair] = new
-                else:
-                    del child[pair]
-            if child_l1 > remaining:
-                continue
-            relabel: tuple[dict[int, int], dict[int, int]] = ({}, {})
-            rows, columns = relabel[0], relabel[column]
-            out = [0, 0]
-            for x, cls in keep_classes:
-                fresh = relabel[cls]
-                out.append(fresh.setdefault(blocks[x], len(fresh)))
-            triples = []
-            loose = []
-            for (u, w), balance in child.items():
-                a, b = columns.get(u, unset), rows.get(w, unset)
-                if a == unset or b == unset:
-                    loose.append((a, b, balance, u, w))
-                else:
-                    triples.append((a, b, balance + offset))
-            loose.sort()
-            for _, _, balance, u, w in loose:
-                a = columns.setdefault(u, len(columns))
-                b = rows.setdefault(w, len(rows))
-                triples.append((a, b, balance + offset))
-            triples.sort()
-            for triple in triples:
-                out.extend(triple)
-            out[0], out[1] = len(relabel[0]), len(relabel[1])
-            child_key = array(code, out).tobytes()
-            merged = nxt.setdefault(child_key, {})
-            if c < r:
-                for ab, ways in prefixes.items():
-                    merged[ab] = merged.get(ab, 0) + ways
-                continue
-            for (a, b), ways in prefixes.items():
-                m = b if new_class else a
-                if m > r:
-                    merged[a, b] = merged.get((a, b), 0) + ways * (m - r)
-                if m < cap:
-                    grown = (a, b + 1) if new_class else (a + 1, b)
-                    merged[grown] = merged.get(grown, 0) + ways
-        if len(nxt) > MAX_LAYER_STATES:
-            raise ScaleLimitError(
-                f"a balanced-quotient layer outgrew {MAX_LAYER_STATES} states"
-            )
-    return nxt
 
 
 def tau_via_quotients(g: ColoredDigraph, n: int) -> Fraction:
@@ -493,6 +480,7 @@ def traffic_state_brute(g: ColoredDigraph, n: int, samples: int, seed: int,
     guard.  With ``with_stderr`` returns (mean, standard error) instead of
     the mean.
     """
+    n, samples = operator.index(n), operator.index(samples)
     if n > BRUTE_MAX_N or g.vertex_count > BRUTE_MAX_VERTICES:
         raise ScaleLimitError(f"brute-force evaluator limited to N <= {BRUTE_MAX_N} and <= "
                               f"{BRUTE_MAX_VERTICES} vertices (got N={n}, V={g.vertex_count})")

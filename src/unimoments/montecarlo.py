@@ -202,7 +202,7 @@ def _estimates(n_list: tuple[int, ...], powers: tuple[int, ...], samples: int, s
     _check_inputs(n_list, powers, samples, seed, workers)
     # every exact value first, so that a refused one stops the run before sampling; one
     # search, at the widest cap, serves them all
-    counting._cycle_grids(powers, max(n_list))
+    counting._cycle_grids(max(powers), max(n_list))
     exact = {(n, k): float(polynomials.exact_moment(k, n)) for n in n_list for k in powers}
     estimates = []
     for n in n_list:

@@ -115,15 +115,15 @@ def exact_moment(k: int, n: int) -> Fraction:
     """Exact k-th mean spectral moment at dimension n: sum_j F(2k, j) (n)_j / n^(2k+1).
 
     Summed as G(a, b) (n)_a (n)_b over the 2k-cycle's block grid capped at
-    n, which is the whole grid from n = k on (``counting``'s grids serve
-    it, searched only when no grid at least that wide is kept).  Raises
-    ScaleLimitError when min(n, k) exceeds ``graphs.MAX_CYCLE_K``, before
-    any search, or when the engine's layers would outgrow
-    ``graphs.MAX_LAYER_STATES``.
+    n, which is the whole grid from n = k on: the last of
+    ``counting._cycle_grids(k, n)``, searched only when no grid at least
+    that wide is kept, and refused there, before any search, when
+    min(n, k) exceeds ``graphs.MAX_CYCLE_K``.  Raises ScaleLimitError
+    also when the engine's layers would outgrow ``graphs.MAX_LAYER_STATES``.
     """
     if operator.index(n) < 1:
         raise ValueError("matrix dimension must be >= 1")
-    grid = counting._cycle_grids((k,), n)[k]
+    grid = counting._cycle_grids(k, n)[-1]
     numerator = sum(w * math.perm(n, a) * math.perm(n, b) for (a, b), w in grid.items())
     return Fraction(numerator, n ** (2 * k + 1))
 
@@ -131,13 +131,12 @@ def exact_moment(k: int, n: int) -> Fraction:
 def find_disproof(k_max: int) -> list[tuple[int, int, int, int]]:
     """All (k, j, conjectured, actual) with conjectured != actual for k <= k_max.
 
-    Empty for k_max <= 5; the first entries appear at k = 6.
+    Empty for k_max <= 5; the first entries appear at k = 6.  The rows come
+    from ``counting.count_ddcg_rows(k_max)``, which refuses k_max < 1 and,
+    before any search, k_max past ``graphs.MAX_CYCLE_K``.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be a positive integer")
-    counting._check_depth(k_max, k_max)  # before a range of k_max rows is listed
     mismatches = []
-    for k, actual in enumerate(counting.count_ddcg_rows(range(1, k_max + 1)), start=1):
+    for k, actual in enumerate(counting.count_ddcg_rows(k_max), start=1):
         for j, (predicted, value) in enumerate(zip(conjectured_ftable(k), actual), start=1):
             if predicted != value:
                 mismatches.append((k, j, predicted, value))

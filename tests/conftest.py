@@ -79,18 +79,19 @@ def block_grid_calls(monkeypatch, cold_caches):
 @pytest.fixture
 def one_block_too_many(monkeypatch):
     """An engine and a lattice oracle that find one balanced quotient of a 2k-cycle
-    with k + 2 blocks, however the grid was cached."""
+    with k + 2 blocks, the fewest that must be refused, however the grid was cached.
+    The counts gain a zero entry so that index k + 2 exists at k = 1."""
     real_counts = graphs._grid_counts
 
     def grid_counts(grid, vertex_count):
-        out = real_counts(grid, vertex_count)
+        out = real_counts(grid, vertex_count) + [0]
         out[vertex_count // 2 + 2] += 1
         return out
 
     real_brute = graphs.balanced_quotient_counts_brute
 
     def brute(g):
-        out = real_brute(g)
+        out = real_brute(g) + [0]
         out[g.vertex_count // 2 + 2] += 1
         return out
 

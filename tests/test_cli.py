@@ -61,6 +61,13 @@ class TestCountCommand:
         run_json(capsys, "count", "--k-range", "1..8")
         assert block_grid_calls == [(8, 8)]
 
+    def test_k_range_from_past_one(self, capsys, block_grid_calls):
+        rows = run_json(capsys, "count", "--k-range", "3..6")["results"]["rows"]
+        assert block_grid_calls == [(6, 6)]
+        whole = run_json(capsys, "count", "--k-range", "1..6")["results"]["rows"]
+        assert rows == [r for r in whole if r["two_k"] >= 6]
+        assert {r["two_k"] for r in rows} == {6, 8, 10, 12}
+
     def test_brute_agrees_with_search(self, capsys):
         base = run_json(capsys, "count", "--k", "3")
         brute = run_json(capsys, "count", "--k", "3", "--brute")
@@ -253,8 +260,10 @@ class TestExitCodes:
             cli.main(["count", "--bogus"])
         assert exc.value.code == 2
 
-    def test_usage_error_on_bad_value(self, capsys):
-        assert cli.main(["count", "--k", "0"]) == 2
+    @pytest.mark.parametrize("argv", [["count", "--k", "0"], ["conjecture", "--k-max", "0"]],
+                             ids=" ".join)
+    def test_usage_error_on_bad_value(self, capsys, no_counting, argv):
+        assert cli.main(argv) == 2
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -310,10 +319,8 @@ class TestExitCodes:
         ["count", "--k-range", "1..1000000000"],
         ["conjecture", "--k-max", "1000000000"],
     ], ids=" ".join)
-    def test_past_the_deepest_cycle_refused_before_anything_is_built(self, capsys, monkeypatch,
-                                                                     no_counting, argv):
-        for name in ("count_ddcg_rows", "count_brute"):
-            monkeypatch.setattr(counting, name, lambda ks: pytest.fail("listed the rows"))
+    def test_past_the_deepest_cycle_refused_before_anything_is_built(self, capsys, no_counting,
+                                                                     argv):
         assert cli.main(argv) == 3
         assert "past k = 16" in capsys.readouterr().err
 

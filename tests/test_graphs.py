@@ -201,6 +201,14 @@ class TestInjectiveTrafficValue:
         assert injective_traffic_value(chain, 3) == 0
         assert injective_traffic_value(chain, 4) == Fraction(math.perm(4, 4), 4) == 6
 
+    @pytest.mark.parametrize("n, error", [(0, ValueError), (-2, ValueError),
+                                          (2.5, TypeError), (2.0, TypeError), ("2", TypeError)])
+    @pytest.mark.parametrize("g", [alternating_cycle(2), quotient(alternating_cycle(2), (0, 1, 0, 2))],
+                             ids=["unbalanced", "balanced"])
+    def test_invalid_dimension_refused(self, g, n, error):
+        with pytest.raises(error, match="dimension|interpreted as an integer"):
+            injective_traffic_value(g, n)
+
     @settings(deadline=None)
     @given(colored_digraphs(max_vertices=6), st.sampled_from([1, 2, 3, 5]))
     @example(alternating_cycle(3), 5)
@@ -379,6 +387,12 @@ class TestBruteOracles:
         # truncated, seed 1.9 would run the stream of seed 1
         with pytest.raises(TypeError):
             traffic_state_brute(alternating_cycle(2), 2, 300, seed=1.9)
+
+    @pytest.mark.parametrize("n, samples", [(2.0, 300), (2.5, 300), (2, 10.0), (2, "300")])
+    def test_non_integer_size_refused_before_any_work(self, monkeypatch, n, samples):
+        monkeypatch.setattr(graphs, "unimodular_batch", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            traffic_state_brute(alternating_cycle(2), n, samples, seed=1)
 
     def test_chunking_does_not_change_the_estimate(self, monkeypatch):
         # on the graphs with loops, a lone sample summed on its own changed the last bits

@@ -409,7 +409,7 @@ class TestValidateAgainstExact:
 
     def test_exact_value_at_small_n_builds_no_row(self, monkeypatch, block_grid_calls):
         for name in ("count_ddcg_partitions", "count_ddcg_rows"):
-            monkeypatch.setattr(counting, name, lambda ks: pytest.fail("built a row"))
+            monkeypatch.setattr(counting, name, lambda k: pytest.fail("built a row"))
         estimate_moment(4, 16, 100, seed=0)
         assert block_grid_calls == [(16, 4)]
 

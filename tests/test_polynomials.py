@@ -220,12 +220,11 @@ class TestFindDisproof:
 
     def test_explicit_rows_override(self, monkeypatch):
         rows = {1: (1, 1), 2: (1, 5, 3)}  # deliberately wrong F(4, 3)
-        monkeypatch.setattr(counting, "count_ddcg_rows", lambda ks: [rows[k] for k in ks])
+        monkeypatch.setattr(counting, "count_ddcg_rows",
+                            lambda k_max: [rows[k] for k in range(1, k_max + 1)])
         assert find_disproof(2) == [(2, 3, 2, 3)]
 
-    def test_past_the_deepest_cycle_refused_before_the_rows_are_listed(self, no_counting,
-                                                                         monkeypatch):
-        monkeypatch.setattr(counting, "count_ddcg_rows", lambda ks: pytest.fail("listed rows"))
+    def test_past_the_deepest_cycle_refused_before_the_search(self, no_counting):
         with pytest.raises(ScaleLimitError, match="past k = 16"):
             find_disproof(10**9)
 

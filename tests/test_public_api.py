@@ -29,9 +29,41 @@ def test_every_exported_name_resolves(name):
     assert not missing
 
 
+def leading_literal(comment):
+    """The Python literal that ``comment`` begins with, or None.
+
+    The literal is the shortest prefix that ``ast.literal_eval`` reads and no
+    digit, letter, point or underscore continues, so "10988, the" gives
+    10988.  A prefix with an elided ``...``, or a comment that begins with an
+    approximation such as "~0.3", gives none.
+    """
+    for end in range(1, len(comment) + 1):
+        if comment[end:end + 1].isalnum() or comment[end:end + 1] in ("_", "."):
+            continue
+        try:
+            value = ast.literal_eval(comment[:end])
+        except (SyntaxError, TypeError, ValueError):
+            continue
+        return None if "..." in comment[:end] else value
+    return None
+
+
 def test_readme_library_tour_runs():
     (tour,) = re.findall(r"## Library tour\n\n```python\n(.*?)```", README, re.DOTALL)
-    exec(compile(tour, "README.md", "exec"), {})
+    lines = tour.splitlines()
+    namespace = {}
+    checked = []
+    for node in ast.parse(tour).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        expected = leading_literal(lines[node.end_lineno - 1].partition("#")[2].strip())
+        if expected is not None:
+            assert value == expected, lines[node.end_lineno - 1]
+            checked.append(expected)
+    # a reader that finds no literal would pass vacuously
+    assert len(checked) == 6
 
 
 (COMMAND_BLOCK,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", README, re.DOTALL)
