@@ -162,11 +162,9 @@ def _cmd_count(args):
     if args.workers is not None and args.workers < 1:
         raise ValueError("workers must be >= 1")
     lo, hi = args.k_range or (args.k, args.k)
-    # refuse before the oracle spends minutes on the smaller k
-    if args.brute and hi > counting.BRUTE_MAX_K:
-        raise ScaleLimitError(f"brute-force oracle limited to k <= {counting.BRUTE_MAX_K}")
     ks = range(lo, hi + 1)
-    counts = ([counting.count_brute(k) for k in ks] if args.brute
+    # deepest first: the oracle refuses a row past its ceiling before any smaller row is walked
+    counts = ([counting.count_brute(k) for k in reversed(ks)][::-1] if args.brute
               else counting.count_ddcg_rows(hi)[lo - 1:])
     rows = [
         {"two_k": 2 * k, "j": j, "count": c}
@@ -195,8 +193,9 @@ def _cmd_conjecture(args):
         for j, (p, a) in enumerate(zip(polynomials.conjectured_ftable(k), row), start=1)
     ]
     disproofs = [
-        {"k": k, "j": j, "conjectured": p, "actual": a}
-        for k, j, p, a in polynomials.find_disproof(args.k_max)
+        {"k": row["two_k"] // 2, "j": row["j"], "conjectured": row["conjectured"],
+         "actual": row["actual"]}
+        for row in rows if not row["match"]
     ]
     return {"k_max": args.k_max}, {"rows": rows, "disproofs": disproofs}
 

@@ -33,12 +33,7 @@ __all__ = [
     "count_ddcg_partitions",
     "count_ddcg_rows",
     "count_brute",
-    "BRUTE_MAX_K",
 ]
-
-# The lattice oracle walks the 2k-cycle's Bell(2k) partitions: at k = 6,
-# 4.2M of them in about a minute of CPU on a 2-core box.
-BRUTE_MAX_K = graphs.LATTICE_MAX_VERTICES // 2
 
 
 def _row(k: int, counts: list[int]) -> list[int]:
@@ -98,6 +93,8 @@ def count_ddcg_rows(k_max: int) -> list[list[int]]:
 def count_brute(k: int) -> list[int]:
     """The same row from the partition-lattice oracle, independent of the engine.
 
-    Raises ScaleLimitError above ``BRUTE_MAX_K``, before it walks.
+    Raises ScaleLimitError, before it builds the cycle, when the 2k-cycle
+    has more than ``graphs.LATTICE_MAX_VERTICES`` vertices: past k = 6.
     """
+    graphs._check_lattice(2 * operator.index(k))
     return _row(k, graphs.balanced_quotient_counts_brute(graphs.alternating_cycle(k)))

@@ -254,6 +254,13 @@ def _grid_counts(grid: dict[tuple[int, int], int], vertex_count: int) -> list[in
     return counts
 
 
+def _check_lattice(vertex_count: int) -> None:
+    """Refuse a partition-lattice walk over more than LATTICE_MAX_VERTICES vertices."""
+    if vertex_count > LATTICE_MAX_VERTICES:
+        raise ScaleLimitError(f"partition-lattice oracle limited to {LATTICE_MAX_VERTICES} "
+                              f"vertices (got {vertex_count})")
+
+
 def balanced_quotient_counts_brute(g: ColoredDigraph) -> list[int]:
     """``balanced_quotient_counts`` by walking every partition of the vertices.
 
@@ -262,9 +269,7 @@ def balanced_quotient_counts_brute(g: ColoredDigraph) -> list[int]:
     Raises ScaleLimitError above LATTICE_MAX_VERTICES vertices, before it
     walks.
     """
-    if g.vertex_count > LATTICE_MAX_VERTICES:
-        raise ScaleLimitError(f"partition-lattice oracle limited to {LATTICE_MAX_VERTICES} "
-                              f"vertices (got {g.vertex_count})")
+    _check_lattice(g.vertex_count)
     counts = [0] * (g.vertex_count + 1)
     for rgs in iter_partitions(g.vertex_count):
         q = quotient(g, rgs)
@@ -454,6 +459,11 @@ def _cycle_sweep(k_max: int, cap: int):
             yield layer.get(closing, {})
 
 
+def _grid_value(grid: dict[tuple[int, int], int], n: int) -> int:
+    """Sum of G(a, b) (n)_a (n)_b over a block grid: n times its graph's traffic state at n."""
+    return sum(w * math.perm(n, a) * math.perm(n, b) for (a, b), w in grid.items())
+
+
 def tau_via_quotients(g: ColoredDigraph, n: int) -> Fraction:
     """Exact traffic state of ``g``: the sum over balanced quotients of (n)_blocks / n.
 
@@ -462,8 +472,7 @@ def tau_via_quotients(g: ColoredDigraph, n: int) -> Fraction:
     """
     if operator.index(n) < 1:
         raise ValueError("matrix dimension must be >= 1")
-    grid = _block_grid(g, n)
-    return Fraction(sum(w * math.perm(n, a) * math.perm(n, b) for (a, b), w in grid.items()), n)
+    return Fraction(_grid_value(_block_grid(g, n), n), n)
 
 
 def traffic_state_brute(g: ColoredDigraph, n: int, samples: int, seed: int,

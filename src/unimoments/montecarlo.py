@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import counting, polynomials
+from . import polynomials
 from .errors import InternalCheckError, ScaleLimitError
 from .sampling import unimodular_batch
 
@@ -200,10 +200,10 @@ def _estimates(n_list: tuple[int, ...], powers: tuple[int, ...], samples: int, s
                workers: int | None) -> tuple[MomentEstimate, ...]:
     """One scored estimate per (n, k), n-major; one set of samples per dimension."""
     _check_inputs(n_list, powers, samples, seed, workers)
-    # every exact value first, so that a refused one stops the run before sampling; one
-    # search, at the widest cap, serves them all
-    counting._cycle_grids(max(powers), max(n_list))
-    exact = {(n, k): float(polynomials.exact_moment(k, n)) for n in n_list for k in powers}
+    # every exact value first, so that a refused one stops the run before sampling; widest
+    # first, so that the first one's search serves them all
+    exact = {(n, k): float(polynomials.exact_moment(k, n))
+             for n in sorted(n_list, reverse=True) for k in sorted(powers, reverse=True)}
     estimates = []
     for n in n_list:
         traces = _all_traces(n, powers, samples, seed, workers)

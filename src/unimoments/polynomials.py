@@ -6,10 +6,10 @@ factorial basis, with the balanced-quotient counts F(2k, j) as coefficients;
 this module converts between that basis and ordinary powers of N in both
 directions (Horner expansion one way, synthetic division the other, both
 in the Newton basis with nodes 0, 1, 2, ... and both checked by exact
-evaluation), sums exact moments at one N from the 2k-cycle's block grid
-capped at N (kept by ``counting``, like the rows), and evaluates the
-Borel-triangle closed form that was once
-believed to produce the same numbers.  Everything is arbitrary-precision integer or rational
+evaluation), takes exact moments at one N from the 2k-cycle's block grid
+capped at N (kept by ``counting``, like the rows, and summed by
+``graphs._grid_value``), and evaluates the Borel-triangle closed form that
+was once believed to produce the same numbers.  Everything is arbitrary-precision integer or rational
 arithmetic; no floats.
 
 Coefficient vectors are Python sequences indexed from j = 1: ``coeffs[i]``
@@ -22,7 +22,7 @@ import math
 import operator
 from fractions import Fraction
 
-from . import counting
+from . import counting, graphs
 from .errors import InternalCheckError
 
 __all__ = [
@@ -114,18 +114,16 @@ def conjectured_ftable(k: int) -> list[int]:
 def exact_moment(k: int, n: int) -> Fraction:
     """Exact k-th mean spectral moment at dimension n: sum_j F(2k, j) (n)_j / n^(2k+1).
 
-    Summed as G(a, b) (n)_a (n)_b over the 2k-cycle's block grid capped at
-    n, which is the whole grid from n = k on: the last of
-    ``counting._cycle_grids(k, n)``, searched only when no grid at least
+    ``graphs._grid_value`` sums G(a, b) (n)_a (n)_b over the 2k-cycle's
+    block grid capped at n, which is the whole grid from n = k on: the last
+    of ``counting._cycle_grids(k, n)``, searched only when no grid at least
     that wide is kept, and refused there, before any search, when
     min(n, k) exceeds ``graphs.MAX_CYCLE_K``.  Raises ScaleLimitError
     also when the engine's layers would outgrow ``graphs.MAX_LAYER_STATES``.
     """
     if operator.index(n) < 1:
         raise ValueError("matrix dimension must be >= 1")
-    grid = counting._cycle_grids(k, n)[-1]
-    numerator = sum(w * math.perm(n, a) * math.perm(n, b) for (a, b), w in grid.items())
-    return Fraction(numerator, n ** (2 * k + 1))
+    return Fraction(graphs._grid_value(counting._cycle_grids(k, n)[-1], n), n ** (2 * k + 1))
 
 
 def find_disproof(k_max: int) -> list[tuple[int, int, int, int]]:
@@ -135,9 +133,5 @@ def find_disproof(k_max: int) -> list[tuple[int, int, int, int]]:
     from ``counting.count_ddcg_rows(k_max)``, which refuses k_max < 1 and,
     before any search, k_max past ``graphs.MAX_CYCLE_K``.
     """
-    mismatches = []
-    for k, actual in enumerate(counting.count_ddcg_rows(k_max), start=1):
-        for j, (predicted, value) in enumerate(zip(conjectured_ftable(k), actual), start=1):
-            if predicted != value:
-                mismatches.append((k, j, predicted, value))
-    return mismatches
+    return [(k, j, p, a) for k, row in enumerate(counting.count_ddcg_rows(k_max), start=1)
+            for j, (p, a) in enumerate(zip(conjectured_ftable(k), row), start=1) if p != a]

@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from unimoments import cli, counting, montecarlo
+from unimoments import cli, counting, graphs, montecarlo, polynomials
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +167,22 @@ class TestConjectureCommand:
         run_json(capsys, "conjecture", "--k-max", "8")
         assert block_grid_calls == [(8, 8)]
 
+    @pytest.mark.parametrize("k_max", [1, 5, 6, 8])
+    def test_each_prediction_built_once(self, capsys, monkeypatch, k_max):
+        calls = []
+        original = polynomials.conjectured_ftable
+
+        def counted(k):
+            calls.append(k)
+            return original(k)
+
+        monkeypatch.setattr(polynomials, "conjectured_ftable", counted)
+        record = run_json(capsys, "conjecture", "--k-max", str(k_max))
+        assert calls == list(range(1, k_max + 1))
+        disproofs = [(d["k"], d["j"], d["conjectured"], d["actual"])
+                     for d in record["results"]["disproofs"]]
+        assert disproofs == polynomials.find_disproof(k_max)
+
 
 class TestMcCommand:
     def test_deterministic_identity_case(self, capsys):
@@ -273,11 +289,27 @@ class TestExitCodes:
     def test_scale_refusal_for_brute(self, capsys):
         assert cli.main(["count", "--k", "7", "--brute"]) == 3
 
-    def test_brute_refused_before_it_counts(self, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(counting, "count_brute", calls.append)
-        assert cli.main(["count", "--k-range", "1..7", "--brute"]) == 3
-        assert calls == []
+    @pytest.mark.parametrize("argv", [
+        ["count", "--k-range", "1..7", "--brute"],
+        ["count", "--k-range", "3..7", "--brute"],
+        ["count", "--k-range", "1..1000000000", "--brute"],
+        ["count", "--k", "1000000000", "--brute"],
+    ], ids=" ".join)
+    def test_brute_refused_before_it_counts(self, capsys, monkeypatch, argv):
+        walked = []
+        original = graphs.iter_partitions
+
+        def recorded(n):
+            walked.append(n)
+            return original(n)
+
+        def no_cycle(k):
+            pytest.fail(f"built the {2 * k}-cycle")  # a billion-edge one would not finish
+
+        monkeypatch.setattr(graphs, "iter_partitions", recorded)
+        monkeypatch.setattr(graphs, "alternating_cycle", no_cycle)
+        assert cli.main(argv) == 3
+        assert walked == []
 
     def test_scale_refusal_beyond_reference(self, capsys, tiny_layer_guard):
         assert cli.main(["poly", "--k", "12"]) == 3

@@ -72,7 +72,7 @@ class TestCountRows:
 
     def test_brute_scale_refusal(self):
         with pytest.raises(ScaleLimitError):
-            count_brute(counting.BRUTE_MAX_K + 1)
+            count_brute(graphs.LATTICE_MAX_VERTICES // 2 + 1)
 
     def test_layer_guard(self, monkeypatch, cold_caches):
         # the k = 5 cycle needs 6 states in its widest layer (76 in one class)

@@ -18,6 +18,7 @@ from unimoments import (
     balanced_quotient_counts,
     balanced_quotient_counts_brute,
     count_ddcg_partitions,
+    exact_moment,
     is_ddcg,
     iter_partitions,
     monomial_to_pochhammer,
@@ -229,14 +230,17 @@ class TestTauViaQuotients:
         assert tau_via_quotients(alternating_cycle(2), 1) == 1
 
     def test_matches_count_weighted_pochhammer(self):
-        # tau over the 2k-cycle must equal sum_j F(2k,j) (n)_j / n
-        for k in (1, 2, 3):
+        # tau over the 2k-cycle must equal sum_j F(2k,j) (n)_j / n, and n^(2k) times the
+        # exact moment: below n = k, _block_grid's capped search against _cycle_sweep's
+        for k in range(1, 7):
             row = count_ddcg_partitions(k)
             for n in (1, 2, 3, 5):
                 expected = Fraction(
                     sum(c * math.perm(n, j) for j, c in enumerate(row, start=1)), n
                 )
-                assert tau_via_quotients(alternating_cycle(k), n) == expected
+                tau = tau_via_quotients(alternating_cycle(k), n)
+                assert tau == expected
+                assert tau == exact_moment(k, n) * n ** (2 * k)
 
     def test_fourteen_isolated_vertices(self):
         # every partition balances, and sum_j S(14, j) (n)_j = n^14
