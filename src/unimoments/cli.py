@@ -152,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--workers", type=int, default=None,
-                      help="at most this many threads; mc picks its own count from --n")
+                      help="at most this many threads; mc picks its own count from --n "
+                           "and holds BLAS to one thread while they run")
     add_format(p_mc)
 
     return parser

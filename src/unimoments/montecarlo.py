@@ -19,16 +19,22 @@ every thread count and batch size.  A batch holds a few MiB of matrices
 (``_BATCH_ENTRIES``) and writes its rows of the one preallocated trace array;
 the final reduction is a single numpy pairwise sum over that index-ordered
 array.  Batches run on a pool of threads in the calling process: every stage
-of a batch is numpy work that releases the GIL.  Outside
-``THREADED_DIMENSIONS`` the pool is one thread; inside, one per CPU and batch.
+of a batch is numpy work that releases the GIL.  Below ``THREADED_FROM`` the
+pool is one thread; from there on, one per CPU and batch, and numpy's BLAS is
+held to one thread while the pool runs, so that pool threads do not contend
+with BLAS threads for the same cores.  ``_BATCH_ENTRIES`` bounds the batches
+in flight together, not each batch.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +62,75 @@ EIGENVALUE_FLOOR = -1e-10
 DETERMINISTIC_DIFF_FLOOR = 1e-12
 
 _BATCH = 1024  # samples at most in a batch, the unit of work splitting
-# Matrix entries at most in a batch: a complex128 stack is 4 MiB, and a batch holds
-# about three.  Larger batches cost more per sample at every stage, since their
-# temporaries are freshly paged in and miss the cache.  N <= 16 keeps _BATCH samples.
+# Matrix entries at most in all the batches in flight together: a complex128 stack
+# of them is 4 MiB, and a batch holds about three.  Larger batches cost more per
+# sample at every stage, since their temporaries are freshly paged in and miss the
+# cache.  On one thread N <= 16 keeps _BATCH samples; on two, N <= 11.
 _BATCH_ENTRIES = 1 << 18
-# Dimensions whose batches run on more than one thread.  On a 2-core host
-# (estimate_moment, 1 thread against 2) a second thread costs 7-10% at N = 2, 3,
+# The smallest dimension whose batches run on more than one thread.  On a 2-core
+# host (estimate_moment, 1 thread against 2) a second thread costs 7-10% at N = 2, 3,
 # where a batch is too little numpy work, and saves 30-52% at N = 4 to 40.  From
-# N = 41 OpenBLAS spreads each complex product over the cores itself, and a second
-# pool thread contends with it: 15-55% slower at N = 41, 48, 63, 64, 96 and 128.
-THREADED_DIMENSIONS = range(4, 41)
+# N = 41 OpenBLAS would spread each product over the cores itself, for at most a
+# fifth off at twice the CPU time.  Held to one thread under two pool threads
+# instead, it makes estimate_moment 38-48% faster than one pool thread over
+# threaded BLAS at N = 41 to 256.
+THREADED_FROM = 4
+
+
+def _find_blas_threads():
+    """The thread-count getter and setter of numpy's OpenBLAS, or None where neither
+    is found.
+
+    The names are looked up through numpy's own extension module, since ``dlsym``
+    also searches the libraries it links: numpy 2 wheels bundle scipy-openblas,
+    numpy 1.x wheels a 64-bit-integer OpenBLAS, and a system or conda build the
+    plain one.
+    """
+    try:
+        from numpy._core import _multiarray_umath as extension
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as extension
+    library = ctypes.CDLL(extension.__file__)
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        try:
+            return (getattr(library, f"{prefix}_get_num_threads{suffix}"),
+                    getattr(library, f"{prefix}_set_num_threads{suffix}"))
+        except AttributeError:
+            continue
+    return None
+
+
+_BLAS_THREADS = _find_blas_threads()
+_blas_lock = threading.Lock()
+_blas_depth = 0  # contexts open now, across threads
+_blas_saved = 0  # the count the outermost open context found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's BLAS to one thread, then restore the count the outermost of
+    any nested or concurrent contexts found.  Without a setter, this does nothing.
+
+    The count is process-wide (``openblas_set_num_threads_local`` sets it for the
+    whole process too), so each context counts itself in under a lock.
+    """
+    global _blas_depth, _blas_saved
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get_threads, set_threads = _BLAS_THREADS
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get_threads()
+            set_threads(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_threads(_blas_saved)
 
 
 @dataclass(frozen=True)
@@ -145,25 +210,34 @@ def _power_traces(rho: np.ndarray, powers: tuple[int, ...]) -> np.ndarray:
 
 
 def _entrywise_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real part of the sum of conj(a) * b over each matrix of two stacks."""
+    """Real part of the sum of conj(a) * b over each matrix of two stacks.
+
+    einsum sums a row of a stack in pieces of its 8192-entry buffer, but a lone
+    row in one pass, which gives other bits from N = 65 on.  So a stack of one
+    matrix is summed as a stack of two views of it, and a sample's trace does
+    not depend on the size of its batch.
+    """
     rows = a.shape[0]
-    return np.einsum("ij,ij->i", a.reshape(rows, -1).view(np.float64),
-                     b.reshape(rows, -1).view(np.float64))
+    a, b = (x.reshape(rows, -1).view(np.float64) for x in (a, b))
+    if rows == 1:
+        a, b = (np.broadcast_to(x, (2, x.shape[1])) for x in (a, b))
+    return np.einsum("ij,ij->i", a, b)[:rows]
 
 
 def _all_traces(n: int, powers: tuple[int, ...], samples: int, seed: int,
                 workers: int | None) -> np.ndarray:
-    size = max(1, min(_BATCH, _BATCH_ENTRIES // n ** 2))
-    starts = range(0, samples, size)
     cpus = os.cpu_count() or 1
-    width = min(workers or cpus, cpus, len(starts)) if n in THREADED_DIMENSIONS else 1
+    width = min(workers or cpus, cpus) if n >= THREADED_FROM else 1
+    size = max(1, min(_BATCH, _BATCH_ENTRIES // (width * n ** 2)))
+    starts = range(0, samples, size)
+    width = min(width, len(starts))
     traces = np.empty((samples, len(powers)))
 
     def fill(start: int) -> None:
         stop = min(start + size, samples)
         traces[start:stop] = _batch_traces(n, powers, seed, start, stop - start)
 
-    with ThreadPoolExecutor(max_workers=width) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=width) as pool:
         list(pool.map(fill, starts))  # reading each result raises a batch's error
     return traces
 

@@ -386,16 +386,19 @@ class TestWorkers:
         run_json(capsys, *MC_ARGS, "--samples", "1000", "--workers", "4")  # 1 batch
         assert pool_widths == [2, 1]
 
-    def test_multiworker_payload_matches(self, capsys, pool_widths):
-        one = run_json(capsys, *MC_ARGS, "--samples", "3000", "--workers", "1")
-        two = run_json(capsys, *MC_ARGS, "--samples", "3000", "--workers", "2")
-        unset = run_json(capsys, *MC_ARGS, "--samples", "3000")
+    # at n = 64 the width also sets the batch size: 64, 32 and 16 samples
+    @pytest.mark.parametrize("n, samples, widths", [(4, 3000, [1, 2, 3]), (64, 300, [1, 2, 4])])
+    def test_multiworker_payload_matches(self, capsys, pool_widths, n, samples, widths):
+        args = ("mc", "--n", str(n), "--k", "2", "--seed", "3", "--samples", str(samples))
+        one = run_json(capsys, *args, "--workers", "1")
+        two = run_json(capsys, *args, "--workers", "2")
+        unset = run_json(capsys, *args)
         assert one["results"] == two["results"] == unset["results"]
-        assert pool_widths == [1, 2, 3]
+        assert pool_widths == widths
 
     @pytest.mark.parametrize("n, samples, workers, width", [
         (2, 3000, ["--workers", "4"], 1),  # below the threaded dimensions
-        (64, 1100, ["--workers", "4"], 1),  # BLAS already spreads each product
+        (64, 1100, ["--workers", "4"], 4),  # BLAS on one thread under the pool
         (8, 5000, [], 4),  # one thread per CPU ...
         (8, 2000, [], 2),  # ... and per batch
         (8, 3000, ["--workers", "1"], 1),

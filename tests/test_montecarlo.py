@@ -1,6 +1,8 @@
 """Monte Carlo estimator tests: determinism, invariants, statistics."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -165,18 +167,20 @@ def record_batches(monkeypatch, compute=True):
 
 
 class TestBatchLayout:
-    # 3 and 64 lie outside the threaded dimensions, so they run one thread whatever is asked
+    # 3 lies below the threaded dimensions, so it runs one thread whatever is asked
     @pytest.mark.parametrize("n", [3, 5, 8, 64])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_small_batches_are_bit_identical(self, monkeypatch, pool_widths, n, workers):
         powers, samples, seed = (1, 2, 5), 300, 21
+        width = workers if n >= montecarlo.THREADED_FROM else 1
         want = montecarlo._all_traces(n, powers, samples, seed, workers=1)
-        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 37 * n * n)  # 37 samples a batch
+        # the budget covers every batch in flight: 37 samples a batch
+        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 37 * n * n * width)
         calls = record_batches(monkeypatch)
         got = montecarlo._all_traces(n, powers, samples, seed, workers=workers)
         assert len(calls) == 9
         assert (got == want).all()
-        assert pool_widths[-1] == (workers if n in montecarlo.THREADED_DIMENSIONS else 1)
+        assert pool_widths[-1] == width
 
     def test_every_batch_runs_on_two_workers(self, monkeypatch, pool_widths):
         # at n = 5 a sample is 25 stream words, so samples straddle Philox blocks
@@ -188,13 +192,31 @@ class TestBatchLayout:
         assert (got == want).all()
         assert pool_widths == [1, 2]
 
-    @pytest.mark.parametrize("n, size", [(1, 1024), (16, 1024), (17, 907), (64, 64), (128, 16),
-                                         (256, 4)])
-    def test_batches_are_bounded_by_entries(self, monkeypatch, n, size):
+    # the budget bounds the batches in flight together: on two threads each holds half
+    @pytest.mark.parametrize("workers, n, size", [
+        *((1, n, size) for n, size in [(1, 1024), (16, 1024), (17, 907), (64, 64), (128, 16),
+                                       (256, 4)]),
+        *((2, n, size) for n, size in [(1, 1024), (11, 1024), (16, 512), (17, 453), (64, 32),
+                                       (128, 8), (256, 2)]),
+    ])
+    def test_batches_are_bounded_by_entries(self, monkeypatch, pool_widths, workers, n, size):
         calls = record_batches(monkeypatch, compute=False)
-        traces = montecarlo._all_traces(n, (2,), 2 * size + 3, seed=0, workers=2)
-        assert sorted(calls) == [(0, size), (size, size), (2 * size, 3)]
-        assert traces.shape == (2 * size + 3, 1)
+        traces = montecarlo._all_traces(n, (2,), 2 * size + 1, seed=0, workers=workers)
+        assert sorted(calls) == [(0, size), (size, size), (2 * size, 1)]
+        assert traces.shape == (2 * size + 1, 1)
+        assert pool_widths == [workers if n >= montecarlo.THREADED_FROM else 1]
+
+    # from n = 65 on, einsum summed a one-sample batch to other bits than a larger one
+    @pytest.mark.parametrize("n", [64, 65, 128, 200])
+    def test_a_one_sample_batch_is_bit_identical(self, monkeypatch, pool_widths, n):
+        powers, seed = (2, 3, 4), 13
+        samples = montecarlo._BATCH_ENTRIES // (2 * n * n) + 1
+        want = montecarlo._all_traces(n, powers, samples, seed, workers=1)  # one batch
+        calls = record_batches(monkeypatch)
+        got = montecarlo._all_traces(n, powers, samples, seed, workers=2)
+        assert sorted(calls)[-1] == (samples - 1, 1)
+        assert (got == want).all()
+        assert pool_widths == [1, 2]
 
     # a 64 MiB budget holds each of these runs in one batch per dimension
     @pytest.mark.parametrize("run", [
@@ -232,15 +254,102 @@ def traced_peak(call):
 
 
 class TestWorkingSet:
-    def test_a_large_dimension_holds_small_batches(self):
-        # 64 samples at n = 128 are 16 MiB as one complex128 stack
-        _, peak = traced_peak(lambda: montecarlo._all_traces(128, (2,), 64, seed=0, workers=1))
+    # 64 samples at n = 128 are 16 MiB as one complex128 stack; two threads share the
+    # budget of one, so they hold no more
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_large_dimension_holds_small_batches(self, pool_widths, workers):
+        _, peak = traced_peak(
+            lambda: montecarlo._all_traces(128, (2,), 64, seed=0, workers=workers))
+        assert pool_widths == [workers]
         assert peak <= 20 * MIB
 
     def test_traces_are_held_once(self):
         traces, peak = traced_peak(lambda: montecarlo._all_traces(
             2, (1, 2, 3, 4, 5, 6), 200_000, seed=3, workers=None))
         assert peak <= 1.25 * traces.nbytes + 2 * MIB
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of numpy's BLAS thread count, set to 2 for the test and restored after."""
+    if montecarlo._BLAS_THREADS is None:
+        pytest.skip("no BLAS thread setter was found")
+    get_threads, set_threads = montecarlo._BLAS_THREADS
+    before = get_threads()
+    set_threads(2)
+    if get_threads() != 2:
+        set_threads(before)
+        pytest.skip("this BLAS runs one thread at most")
+    yield get_threads
+    set_threads(before)
+
+
+class TestOneBlasThread:
+    def test_setter_is_found_on_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas.lower():
+            pytest.skip(f"numpy is built on {blas}")
+        assert montecarlo._BLAS_THREADS is not None
+
+    @pytest.mark.parametrize("n, workers", [(3, 1), (64, 1), (64, 2)])
+    def test_every_batch_runs_on_one_blas_thread(self, monkeypatch, blas_threads, n, workers):
+        counts = []
+        original = montecarlo._batch_traces
+
+        def recording(*args):
+            counts.append(blas_threads())
+            return original(*args)
+
+        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 20 * n * n)
+        monkeypatch.setattr(montecarlo, "_batch_traces", recording)
+        montecarlo._all_traces(n, (2,), 100, seed=0, workers=workers)
+        assert counts == [1] * len(counts) and len(counts) >= 5
+        assert blas_threads() == 2
+
+    def test_count_is_restored_after_a_failed_batch(self, monkeypatch, blas_threads):
+        monkeypatch.setattr(montecarlo, "HERMITIAN_DRIFT_TOL", -1.0)
+        with pytest.raises(InternalCheckError):
+            montecarlo._all_traces(64, (1,), 100, seed=1, workers=2)
+        assert blas_threads() == 2
+
+    def test_overlapping_contexts_restore_the_first_count(self, blas_threads):
+        # two contexts that overlap without nesting, as two concurrent calls would
+        first, second = montecarlo._one_blas_thread(), montecarlo._one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert blas_threads() == 1
+        second.__exit__(None, None, None)
+        assert blas_threads() == 2
+
+    def test_concurrent_contexts_lose_no_count(self, blas_threads):
+        # eight threads on two cores, switching often: a lost update of the depth
+        # would restore the count under an open context, or never restore it
+        inside = []
+
+        def enter_often():
+            for _ in range(1000):
+                with montecarlo._one_blas_thread():
+                    inside.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=enter_often) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside == [1] * 8000
+        assert blas_threads() == 2
+
+    def test_without_a_setter_results_are_unchanged(self, monkeypatch):
+        want = montecarlo._all_traces(64, (2, 3), 100, seed=5, workers=2)
+        monkeypatch.setattr(montecarlo, "_BLAS_THREADS", None)
+        assert (montecarlo._all_traces(64, (2, 3), 100, seed=5, workers=2) == want).all()
 
 
 def two_cycles(k):
