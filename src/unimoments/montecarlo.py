@@ -15,7 +15,9 @@ Determinism contract: sample i is a fixed slice of the seed's Philox stream
 (see ``sampling``), so per-sample traces depend only on (seed, sample index).
 They are computed in fixed batches aligned to absolute sample indices, each
 batch one contiguous draw from the stream, so estimates are bit-identical for
-every thread count and batch size.  A batch holds a few MiB of matrices
+every thread count and batch size on one host.  Across numpy builds or CPUs
+the last digits can differ, since numpy picks its tan kernel (``sampling``)
+and BLAS its kernels by CPU.  A batch holds a few MiB of matrices
 (``_BATCH_ENTRIES``) and writes its rows of the one preallocated trace array;
 the final reduction is a single numpy pairwise sum over that index-ordered
 array.  Batches run on a pool of threads in the calling process: every stage

@@ -6,6 +6,23 @@ so a sample's slice is reached by setting the counter, without drawing what
 comes before it: a given (seed, index) pair yields a bit-identical matrix
 however samples are batched or split across threads, and a batch of
 consecutive samples is one contiguous draw.
+
+An entry exp(i theta) is built from t = tan(theta / 2) as
+
+    cos theta = r - 1,   sin theta = t r,   r = 2 / (1 + t^2),
+
+one tangent and four correctly rounded operations, because numpy's float64
+tan runs in SIMD vectors on common x86 builds while its float64 cos and sin
+run an element at a time.  The half angle is drawn directly as
+uniform(0, pi), which is theta / 2 bit for bit, since float(2 pi) =
+2 float(pi).  Each entry lies within 2^-50 of the exact cosine and sine of
+its angle (about 1.6 ulp; the largest error over 2 * 10^5 stream words on
+an AVX-512 host is 3.4e-16), and |z| within 2^-50 of 1.  Near theta = pi the
+tangent of the float half angle is about 1.6e16, far from overflow, and the
+entry comes out as (-1, about 1e-16).  numpy picks the tangent kernel at run
+time from the CPU, so the last digits of an entry can differ between numpy
+builds or processors; on one host they do not depend on where a sample
+falls in a draw.
 """
 
 from __future__ import annotations
@@ -24,9 +41,11 @@ def unimodular_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
     """Samples start .. start + count - 1 of the seed's stream, shape (count, n, n).
 
     Entries are exp(i*theta) with theta uniform on [0, 2*pi); each theta uses
-    one 64-bit word of the stream.  The seed must lie in [0, 2^64) so that no
-    two seeds share a stream.  All four arguments must be integers
-    (``operator.index``), so that a float seed is refused, not truncated.
+    one 64-bit word of the stream, and each entry is built from tan(theta / 2)
+    to within 2^-50 (see the module docstring).  The seed must lie in
+    [0, 2^64) so that no two seeds share a stream.  All four arguments must
+    be integers (``operator.index``), so that a float seed is refused, not
+    truncated.
     """
     n, seed, start, count = map(operator.index, (n, seed, start, count))
     if n < 1:
@@ -40,11 +59,24 @@ def unimodular_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
     size = n * n
     block, skip = divmod(start * size, _PHILOX_BLOCK)
     gen = np.random.Generator(np.random.Philox(key=seed, counter=block))
-    angles = gen.uniform(0.0, 2.0 * np.pi, size=skip + count * size)[skip:]
-    # cos and sin written straight into the output are exp(1j * angles) bit
-    # for bit, without the complex temporary 1j * angles
-    out = np.empty(count * size, dtype=np.complex128)
-    np.cos(angles, out=out.real)
-    np.sin(angles, out=out.imag)
-    return out.reshape(count, n, n)
+    # theta / 2 bit for bit: the same words, and float(2 pi) = 2 float(pi)
+    half = gen.uniform(0.0, np.pi, size=skip + count * size)[skip:]
+    return _unit_circle(half).reshape(count, n, n)
 
+
+def _unit_circle(half: np.ndarray) -> np.ndarray:
+    """exp(2i * half) for a 1-d float64 array of half angles in [0, pi),
+    which it overwrites with their tangents t.
+
+    (r - 1) + i t r with r = 2 / (1 + t^2): r is built in the real part of
+    the output, so nothing beyond ``half`` and the output is held.
+    """
+    t = np.tan(half, out=half)
+    out = np.empty(t.size, dtype=np.complex128)
+    r = out.real
+    np.multiply(t, t, out=r)
+    r += 1.0
+    np.divide(2.0, r, out=r)
+    np.multiply(t, r, out=out.imag)
+    r -= 1.0
+    return out

@@ -22,13 +22,13 @@ from unimoments import (
     validate_against_exact,
 )
 from unimoments import counting, montecarlo
-from unimoments.sampling import unimodular_batch
+from unimoments.sampling import _unit_circle, unimodular_batch
 
 
 class TestSampler:
     def test_unit_modulus(self):
         u = unimodular_batch(6, 3, 11, 1)[0]
-        assert np.abs(np.abs(u) - 1.0).max() < 1e-12
+        assert np.abs(np.abs(u) - 1.0).max() <= 2.0**-50
 
     def test_bit_identical_for_fixed_key(self):
         a = unimodular_batch(4, 5, 9, 1)[0]
@@ -45,7 +45,7 @@ class TestSampler:
     def test_scalar_case(self):
         u = unimodular_batch(1, 0, 0, 1)[0]
         assert u.shape == (1, 1)
-        assert abs(abs(u[0, 0]) - 1.0) < 1e-12
+        assert abs(abs(u[0, 0]) - 1.0) <= 2.0**-50
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -87,14 +87,65 @@ class TestStreamContract:
             assert (batch[i] == unimodular_batch(n, seed, start + i, 1)[0]).all()
 
     def test_golden_seed_zero(self):
-        # derived from the raw stream alone: theta = 2 pi (raw >> 11) 2^-53
+        # derived from the raw stream alone: theta / 2 = pi (raw >> 11) 2^-53, t = tan,
+        # r = 2 / (1 + t^2), entry (r - 1) + i t r
         n, samples = 3, 3
         raw = np.random.Philox(key=0).random_raw(samples * n * n)
         unit = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        want = np.exp(1j * (2.0 * np.pi * unit)).reshape(samples, n, n)
+        t = np.tan(np.pi * unit)
+        r = 2.0 / (1.0 + t * t)
+        want = ((r - 1.0) + 1j * (t * r)).reshape(samples, n, n)
         for i in range(samples):
             assert (unimodular_batch(n, 0, i, 1)[0] == want[i]).all()
         assert (unimodular_batch(n, seed=0, start=0, count=samples) == want).all()
+
+    # tan runs in SIMD vectors (8 doubles wide on AVX-512), and n = 3 puts samples at
+    # every offset within a vector and a four-word Philox block
+    @pytest.mark.parametrize("start", range(16))
+    def test_a_sample_has_the_same_bits_at_every_lane(self, start):
+        n = 3
+        alone = [unimodular_batch(n, 5, start + i, 1)[0] for i in range(3)]
+        for count in (1, 2, 3):
+            batch = unimodular_batch(n, 5, start, count)
+            for i in range(count):
+                assert (batch[i] == alone[i]).all()
+
+
+LONG_DOUBLE_IS_WIDE = np.finfo(np.longdouble).eps <= 1e-18
+
+
+@pytest.mark.skipif(not LONG_DOUBLE_IS_WIDE, reason="needs an extended long double")
+class TestAccuracy:
+    """Entries against long-double cos and sin of the same float angle 2 phi."""
+
+    @staticmethod
+    def error(half, entries):
+        theta = 2 * half.astype(np.longdouble)  # exact: doubling a double
+        return max(np.abs(entries.real - np.cos(theta)).max(),
+                   np.abs(entries.imag - np.sin(theta)).max())
+
+    def test_stream_entries_within_2_to_the_minus_50(self):
+        n, count = 4, 12_800  # 204,800 stream words
+        raw = np.random.Philox(key=31).random_raw(count * n * n)
+        half = np.pi * ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        # the angles cos and sin were taken of, before entries came from tan
+        theta = np.random.Generator(np.random.Philox(key=31)).uniform(0.0, 2.0 * np.pi,
+                                                                       count * n * n)
+        assert (theta == 2.0 * half).all()
+        entries = unimodular_batch(n, 31, 0, count).ravel()
+        assert self.error(half, entries) <= 2.0**-50
+
+    def test_edge_words(self):
+        units = np.array([0.0, 0.25, 0.5, 0.75, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1 - 2.0**-53])
+        half = np.pi * units
+        entries = _unit_circle(half.copy())
+        assert np.isfinite(entries.real).all() and np.isfinite(entries.imag).all()
+        assert self.error(half, entries) <= 2.0**-50
+        assert entries[0] == 1.0
+        # at u = 1/2 the tangent of the float half angle is about 1.6e16, and a few
+        # 1e15 one word either side: the entry is (-1, about 1e-16), not NaN
+        assert 0 < entries[2].imag < 2e-16
+        assert (entries[[2, 4, 5]].real == -1.0).all()
 
 
 class TestPerSampleTraces:
@@ -167,8 +218,8 @@ def record_batches(monkeypatch, compute=True):
 
 
 class TestBatchLayout:
-    # 3 lies below the threaded dimensions, so it runs one thread whatever is asked
-    @pytest.mark.parametrize("n", [3, 5, 8, 64])
+    # 2 and 3 lie below the threaded dimensions, so they run one thread whatever is asked
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 64])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_small_batches_are_bit_identical(self, monkeypatch, pool_widths, n, workers):
         powers, samples, seed = (1, 2, 5), 300, 21
