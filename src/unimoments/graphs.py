@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ScaleLimitError
-from .sampling import unimodular_batch
+from .sampling import check_seed, unimodular_batch
 
 __all__ = [
     "Color",
@@ -69,15 +69,6 @@ _BRUTE_BUDGET = 1 << 19
 # and the refusal comes at 613 MiB: about 400 bytes per live state.  So a
 # layer at the cap and the one built from it stay near 800 MiB, under 1 GiB.
 MAX_LAYER_STATES = 1_000_000
-# The deepest cycle, and the widest cap, that a sweep of the 2K-cycle can
-# reach under MAX_LAYER_STATES.  With cap c and K both >= 17, the sweep's
-# first 34 vertices place at most 17 of each class, so the cap cuts nothing
-# there, and they keep a superset of the 34-cycle's own states (see
-# _cycle_sweep); the 34-cycle outgrows the guard, so this sweep does too.
-# So a sweep with min(c, K) > 16 is refused before anything is built; that
-# refuses nothing the guard would let through, while a smaller sweep may
-# still outgrow the guard.
-MAX_CYCLE_K = 16
 
 
 class Color(Enum):
@@ -291,9 +282,10 @@ def _block_grid(g: ColoredDigraph, cap: int | None = None) -> dict[tuple[int, in
 
 
 def _key_code(g: ColoredDigraph) -> str:
-    # A key is [r_0, r_1, active blocks..., (u, w, balance + E) per ledger
-    # entry].  Every item is in 0..max(V, 2E): one byte each whenever that fits.
-    return "B" if max(g.vertex_count, 2 * g.edge_count) < 256 else "I"
+    # A key is [r_0, r_1, active blocks..., (u, w, balance) per ledger entry]:
+    # labels in 0..V, and |balance| <= min(edges placed, edges left) <= E/2
+    # by the l1 bound.  One signed byte each whenever max(V, E) < 128.
+    return "b" if max(g.vertex_count, g.edge_count) < 128 else "i"
 
 
 def _layers(g: ColoredDigraph, cap: int | None):
@@ -319,12 +311,11 @@ def _layers(g: ColoredDigraph, cap: int | None):
     key, and for each w at (a, b) its map holds w (m_c - r_c) at (a, b) and
     w where m_c is one more.
 
-    Two prunes are exact, so the counts are too:
-
-    * bound: every unplaced edge moves the ledger's l1 mass by exactly 1, so
-      a state whose l1 exceeds the number of unplaced edges dies;
-    * parity: for the same reason l1 always has the parity of the edges
-      placed so far, so nothing balances when the edge count is odd.
+    One prune is exact, so the counts are too: every unplaced edge moves the
+    ledger's l1 mass by exactly 1, so a state whose l1 exceeds the number of
+    unplaced edges dies.  So l1 has the parity of the edges placed, and
+    nothing balances when the edge count is odd: ``_block_grid`` tests that
+    parity, before it searches; this search does not.
 
     The cap is exact too.  A class's block count never falls along a path,
     so a path is dropped once a class has ``cap`` blocks and would open
@@ -337,12 +328,11 @@ def _layers(g: ColoredDigraph, cap: int | None):
     layer just yielded and the one being built are alive at once.  Raises
     ScaleLimitError when a layer outgrows MAX_LAYER_STATES.
     """
-    vertex_count, edge_count = g.vertex_count, g.edge_count
-    cap = vertex_count if cap is None else cap
+    cap = g.vertex_count if cap is None else cap
     classes = _vertex_classes(g)
     column = max(classes, default=0)  # the class of a ledger entry's first block
-    last_neighbour = list(range(vertex_count))
-    placed_with: list[list[tuple[int, int, int]]] = [[] for _ in range(vertex_count)]
+    last_neighbour = list(range(g.vertex_count))
+    placed_with: list[list[tuple[int, int, int]]] = [[] for _ in range(g.vertex_count)]
     for tail, head, color in g.edges:
         later = max(tail, head)
         last_neighbour[tail] = max(last_neighbour[tail], later)
@@ -350,12 +340,12 @@ def _layers(g: ColoredDigraph, cap: int | None):
         # red u -> w adds 1 to pair (u, w); blue w -> u takes 1 from the same pair
         placed_with[later].append((tail, head, 1) if color is Color.RED else (head, tail, -1))
     code = _key_code(g)
-    unset = vertex_count  # above every block label
+    unset = g.vertex_count  # above every block label
     layer = {array(code, [0, 0]).tobytes(): {(0, 0): 1}}
     yield layer
     active: list[int] = []
-    remaining = edge_count
-    for v in range(vertex_count):
+    remaining = g.edge_count
+    for v in range(g.vertex_count):
         # a slot indexes the active vertices of a key, in order, then v
         width = len(active)
         slot = {u: i for i, u in enumerate(active)}
@@ -373,9 +363,8 @@ def _layers(g: ColoredDigraph, cap: int | None):
             ledger = {}
             l1 = 0
             for i in range(width + 2, len(items), 3):
-                u, w, balance = items[i], items[i + 1], items[i + 2] - edge_count
-                ledger[u, w] = balance
-                l1 += abs(balance)
+                ledger[items[i], items[i + 1]] = items[i + 2]
+                l1 += abs(items[i + 2])
             # labels 0..r_c-1 are the labelled blocks of the new vertex's class;
             # label r_c is an unlabelled block or a new one, unless r_c = cap
             for c in range(min(r + 1, cap)):
@@ -406,12 +395,12 @@ def _layers(g: ColoredDigraph, cap: int | None):
                     if a == unset or b == unset:
                         loose.append((a, b, balance, u, w))
                     else:
-                        triples.append((a, b, balance + edge_count))
+                        triples.append((a, b, balance))
                 loose.sort()
                 for _, _, balance, u, w in loose:
                     a = columns.setdefault(u, len(columns))
                     b = rows.setdefault(w, len(rows))
-                    triples.append((a, b, balance + edge_count))
+                    triples.append((a, b, balance))
                 triples.sort()
                 for triple in triples:
                     out.extend(triple)
@@ -446,12 +435,12 @@ def _cycle_sweep(k_max: int, cap: int):
     keeps a superset of the states, each with the same map.  The 2k-cycle
     then closes with blue 2k - 1 -> 0, which balances a state exactly when
     its ledger holds one entry, +1 between vertex 0's column block and
-    vertex 2k - 1's row block: the key [1, 1, 0, 0, (0, 0, 1 + E)].  So the
+    vertex 2k - 1's row block: the key [1, 1, 0, 0, (0, 0, 1)].  So the
     2k-cycle's grid is that key's map in the layer after 2k vertices, and
     the 2k_max-cycle's own grid is the last layer's.
     """
     g = alternating_cycle(k_max)
-    closing = array(_key_code(g), [1, 1, 0, 0, 0, 0, 1 + g.edge_count]).tobytes()
+    closing = array(_key_code(g), [1, 1, 0, 0, 0, 0, 1]).tobytes()
     for placed, layer in enumerate(_layers(g, cap)):
         if placed == g.vertex_count:
             yield next(iter(layer.values()), {})
@@ -485,11 +474,12 @@ def traffic_state_brute(g: ColoredDigraph, n: int, samples: int, seed: int,
     edge tail -> head reads U[head, tail] and a blue one conj U[tail, head];
     a vertex that no edge reads multiplies the sum by n.  Uses no quotient,
     so it checks ``tau_via_quotients`` independently.  Deterministic given
-    (seed, samples); exponential in the vertex count, hence the small-scale
-    guard.  With ``with_stderr`` returns (mean, standard error) instead of
-    the mean.
+    (seed, samples), whose seed is checked first, even with no edge to draw
+    for; exponential in the vertex count, hence the small-scale guard.  With
+    ``with_stderr`` returns (mean, standard error) instead of the mean.
     """
     n, samples = operator.index(n), operator.index(samples)
+    check_seed(seed)
     if n > BRUTE_MAX_N or g.vertex_count > BRUTE_MAX_VERTICES:
         raise ScaleLimitError(f"brute-force evaluator limited to N <= {BRUTE_MAX_N} and <= "
                               f"{BRUTE_MAX_VERTICES} vertices (got N={n}, V={g.vertex_count})")

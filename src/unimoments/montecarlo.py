@@ -43,7 +43,7 @@ import numpy as np
 
 from . import polynomials
 from .errors import InternalCheckError, ScaleLimitError
-from .sampling import unimodular_batch
+from .sampling import check_seed, unimodular_batch
 
 __all__ = [
     "MomentEstimate",
@@ -255,8 +255,7 @@ def _check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
         raise ValueError(f"power must be in 1..{MAX_POWER}")
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError("seed must be in [0, 2^64)")
+    check_seed(seed)
     if workers is not None and operator.index(workers) < 1:
         raise ValueError("workers must be >= 1")
     if samples * len(powers) > MAX_TRACES:

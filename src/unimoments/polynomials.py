@@ -115,15 +115,15 @@ def exact_moment(k: int, n: int) -> Fraction:
     """Exact k-th mean spectral moment at dimension n: sum_j F(2k, j) (n)_j / n^(2k+1).
 
     ``graphs._grid_value`` sums G(a, b) (n)_a (n)_b over the 2k-cycle's
-    block grid capped at n, which is the whole grid from n = k on: the last
-    of ``counting._cycle_grids(k, n)``, searched only when no grid at least
-    that wide is kept, and refused there, before any search, when
-    min(n, k) exceeds ``graphs.MAX_CYCLE_K``.  Raises ScaleLimitError
-    also when the engine's layers would outgrow ``graphs.MAX_LAYER_STATES``.
+    block grid capped at n, which is the whole grid from n = k on:
+    ``counting._cycle_grid(k, n)``, searched only when no grid at least that
+    wide is kept, and refused there, before any search, when min(n, k)
+    exceeds ``counting.MAX_CYCLE_K``.  Raises ScaleLimitError also when the
+    engine's layers would outgrow ``graphs.MAX_LAYER_STATES``.
     """
     if operator.index(n) < 1:
         raise ValueError("matrix dimension must be >= 1")
-    return Fraction(graphs._grid_value(counting._cycle_grids(k, n)[-1], n), n ** (2 * k + 1))
+    return Fraction(graphs._grid_value(counting._cycle_grid(k, n), n), n ** (2 * k + 1))
 
 
 def find_disproof(k_max: int) -> list[tuple[int, int, int, int]]:
@@ -131,7 +131,7 @@ def find_disproof(k_max: int) -> list[tuple[int, int, int, int]]:
 
     Empty for k_max <= 5; the first entries appear at k = 6.  The rows come
     from ``counting.count_ddcg_rows(k_max)``, which refuses k_max < 1 and,
-    before any search, k_max past ``graphs.MAX_CYCLE_K``.
+    before any search, k_max past ``counting.MAX_CYCLE_K``.
     """
     return [(k, j, p, a) for k, row in enumerate(counting.count_ddcg_rows(k_max), start=1)
             for j, (p, a) in enumerate(zip(conjectured_ftable(k), row), start=1) if p != a]

@@ -31,10 +31,15 @@ import operator
 
 import numpy as np
 
-__all__ = ["unimodular_batch"]
+__all__ = ["unimodular_batch", "check_seed"]
 
-_MASK64 = (1 << 64) - 1
 _PHILOX_BLOCK = 4  # Philox4x64 yields four 64-bit words per counter step
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed that is not an int in [0, 2^64): none is truncated, and no two share a stream."""
+    if not 0 <= operator.index(seed) < 1 << 64:
+        raise ValueError("seed must be in [0, 2^64)")
 
 
 def unimodular_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
@@ -42,16 +47,13 @@ def unimodular_batch(n: int, seed: int, start: int, count: int) -> np.ndarray:
 
     Entries are exp(i*theta) with theta uniform on [0, 2*pi); each theta uses
     one 64-bit word of the stream, and each entry is built from tan(theta / 2)
-    to within 2^-50 (see the module docstring).  The seed must lie in
-    [0, 2^64) so that no two seeds share a stream.  All four arguments must
-    be integers (``operator.index``), so that a float seed is refused, not
-    truncated.
+    to within 2^-50 (see the module docstring).  All four arguments must be
+    integers (``operator.index``), and the seed passes ``check_seed``.
     """
     n, seed, start, count = map(operator.index, (n, seed, start, count))
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError("seed must be in [0, 2^64)")
+    check_seed(seed)
     if start < 0:
         raise ValueError("sample index must be nonnegative")
     if count < 0:

@@ -14,9 +14,9 @@ from unimoments import counting, graphs, montecarlo, polynomials
 def cold_caches():
     """Empty the one cache of cycle grids before and after the test, so that
     nothing computed elsewhere is served without a search."""
-    counting._cycle_grids.cache_clear()
+    counting._cycle_grid.cache_clear()
     yield
-    counting._cycle_grids.cache_clear()
+    counting._cycle_grid.cache_clear()
 
 
 @pytest.fixture

@@ -52,9 +52,9 @@ class TestCountCommand:
     def test_k_range_emits_the_single_rows(self, capsys):
         single = []
         for k in range(1, 9):
-            counting._cycle_grids.cache_clear()  # so that each row is its own search
+            counting._cycle_grid.cache_clear()  # so that each row is its own search
             single += run_json(capsys, "count", "--k", str(k))["results"]["rows"]
-        counting._cycle_grids.cache_clear()
+        counting._cycle_grid.cache_clear()
         assert run_json(capsys, "count", "--k-range", "1..8")["results"]["rows"] == single
 
     def test_k_range_is_one_search(self, capsys, block_grid_calls):

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from unimoments import (
     InternalCheckError,
@@ -87,7 +89,7 @@ class TestCountRows:
         lambda: count_ddcg_rows(17),
         lambda: exact_moment(17, 17),
         lambda: exact_moment(40, 17),
-        lambda: counting._cycle_grids(20, 18),
+        lambda: counting._cycle_grid(20, 18),
     ], ids=["row", "rows", "moment at n = k", "moment at n < k", "grid"])
     def test_past_the_deepest_cycle_refused_before_the_search(self, no_counting, search):
         with pytest.raises(ScaleLimitError, match="past k = 16"):
@@ -123,11 +125,11 @@ class TestOneSearch:
         assert block_grid_calls == [(5, 5)]
 
     def test_grids_serve_every_shallower_narrower_request(self, block_grid_calls):
-        grids = counting._cycle_grids(7, 3)
-        counting._cycle_grids(5, 2)  # shallower and narrower: served from the grids kept
+        counting._cycle_grid(7, 3)
+        counting._cycle_grid(5, 2)  # shallower and narrower: served from the grids kept
+        grids = [counting._cycle_grid(k, 3) for k in range(1, 8)]  # all 7 rows, from that search
         assert block_grid_calls == [(7, 3)]
-        assert len(grids) == 7
-        assert grids[-1] == graphs._block_grid(graphs.alternating_cycle(7), 3)
+        assert grids == [graphs._block_grid(graphs.alternating_cycle(k), min(3, k)) for k in range(1, 8)]
 
     def test_a_wider_cap_searches_again(self, block_grid_calls):
         assert exact_moment(9, 2) == Fraction(math.comb(18, 9), 4**9)
@@ -137,6 +139,25 @@ class TestOneSearch:
             c * math.perm(7, j) for j, c in enumerate(KNOWN_ROWS[5], start=1))
         exact_moment(3, 4)
         assert block_grid_calls == [(9, 2), (5, 5)]
+
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 8)), min_size=1, max_size=6))
+    def test_a_row_is_searched_exactly_when_kept_narrower(self, block_grid_calls, requests):
+        counting._cycle_grid.cache_clear()  # every example starts cold
+        kept = {}  # row j -> its width: a search of row k at cap c keeps each j <= k at min(c, j)
+        for k, cap in requests:
+            width = min(cap, k)
+            own = graphs._block_grid(graphs.alternating_cycle(k), width)
+            block_grid_calls.clear()
+            grid = counting._cycle_grid(k, cap)
+            if kept.get(k, 0) < width:
+                assert block_grid_calls == [(k, width)]
+                for j in range(1, k + 1):
+                    kept[j] = max(kept.get(j, 0), min(width, j))
+            else:
+                assert block_grid_calls == []
+            assert {ab: ways for ab, ways in grid.items() if max(ab) <= width} == own
 
 
 class TestInternalConsistency:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -368,11 +369,36 @@ class TestBalancedQuotientCounts:
             assert grid[a, k + 1 - a] == math.comb(k, a) * math.comb(k, a - 1) // k
 
     def test_states_wider_than_a_byte(self):
-        # 2E >= 256 or V >= 256 moves the packed state items to 4 bytes
+        # max(V, E) >= 128 moves the packed state items from a signed byte to 4 bytes
         pairs = ColoredDigraph(2, ((0, 1, R),) * 64 + ((1, 0, B),) * 64)
         assert balanced_quotient_counts(pairs) == [0, 1, 1]
         bell_256 = sum(monomial_to_pochhammer([0] * 255 + [1]))
         assert sum(balanced_quotient_counts(ColoredDigraph(256, ()))) == bell_256
+
+    @pytest.mark.parametrize("g, code, counts", [
+        (ColoredDigraph(127, ()), "b", [0, *monomial_to_pochhammer([0] * 126 + [1])]),
+        (ColoredDigraph(128, ()), "i", [0, *monomial_to_pochhammer([0] * 127 + [1])]),
+        (ColoredDigraph(2, ((0, 1, R),) * 63 + ((1, 0, B),) * 63), "b", [0, 1, 1]),
+        (ColoredDigraph(2, ((0, 1, R),) * 64 + ((1, 0, B),) * 64), "i", [0, 1, 1]),
+    ], ids=["V=127", "V=128", "E=126", "E=128"])
+    def test_states_either_side_of_a_byte(self, g, code, counts):
+        # an edgeless graph's counts are the Stirling numbers of the second kind
+        assert graphs._key_code(g) == code
+        assert balanced_quotient_counts(g) == counts
+
+    @pytest.mark.parametrize("e, code", [(126, "b"), (128, "i")])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_keys_store_half_the_edges_as_a_balance(self, e, code, sign):
+        # column vertex 0 with e/2 red edges to one row vertex and e/2 blue edges from
+        # another: placing the first row vertex leaves the balance +-e/2 on one entry
+        red, blue = ((0, 1, R),) * (e // 2), ((2, 0, B),) * (e // 2)
+        if sign < 0:
+            red, blue = ((0, 2, R),) * (e // 2), ((1, 0, B),) * (e // 2)
+        g = ColoredDigraph(3, red + blue)
+        assert graphs._key_code(g) == code
+        after_two = list(graphs._layers(g, None))[2]
+        assert sign * e // 2 in {array(code, key)[-1] for key in after_two}
+        assert balanced_quotient_counts(g) == balanced_quotient_counts_brute(g) == [0, 1, 1, 0]
 
 
 class TestBruteOracles:
@@ -386,6 +412,20 @@ class TestBruteOracles:
         b = traffic_state_brute(g, 2, 500, seed=9)
         assert a == b
         assert a != traffic_state_brute(g, 2, 500, seed=10)
+
+    @pytest.mark.parametrize("g", [ColoredDigraph(1, ()), ColoredDigraph(3, ()),
+                                   alternating_cycle(1), alternating_cycle(2)],
+                             ids=["edgeless-1", "edgeless-3", "cycle-2", "cycle-4"])
+    @pytest.mark.parametrize("seed, error, message", [
+        (1.9, TypeError, "interpreted as an integer"),
+        (-5, ValueError, r"seed must be in \[0, 2\^64\)"),
+        (2**64, ValueError, r"seed must be in \[0, 2\^64\)"),
+        (2**70, ValueError, r"seed must be in \[0, 2\^64\)"),
+    ], ids=["float", "negative", "2^64", "2^70"])
+    def test_seed_checked_before_any_work(self, monkeypatch, g, seed, error, message):
+        monkeypatch.setattr(graphs, "unimodular_batch", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(error, match=message):
+            traffic_state_brute(g, 2, 10, seed=seed)
 
     def test_float_seed_refused(self):
         # truncated, seed 1.9 would run the stream of seed 1
