@@ -26,6 +26,13 @@ pool is one thread; from there on, one per CPU and batch, and numpy's BLAS is
 held to one thread while the pool runs, so that pool threads do not contend
 with BLAS threads for the same cores.  ``_BATCH_ENTRIES`` bounds the batches
 in flight together, not each batch.
+
+Each pool thread makes one workspace (``_Workspace``) at its first batch, and
+every stage of every later batch writes into it with ``out=``; the workspaces
+go with the pool's threads when the call ends.  So a batch touches the pages
+the last one touched.  Stacks allocated and freed per batch would go back to
+the system (glibc trims a thread's arena) and be faulted back in, zeroed, by
+the next batch.
 """
 
 from __future__ import annotations
@@ -65,10 +72,12 @@ DETERMINISTIC_DIFF_FLOOR = 1e-12
 
 _BATCH = 1024  # samples at most in a batch, the unit of work splitting
 # Matrix entries at most in all the batches in flight together: a complex128 stack
-# of them is 4 MiB, and a batch holds about three.  Larger batches cost more per
-# sample at every stage, since their temporaries are freshly paged in and miss the
-# cache.  On one thread N <= 16 keeps _BATCH samples; on two, N <= 11.
-_BATCH_ENTRIES = 1 << 18
+# of them is 2 MiB.  Each pool thread's workspace holds three complex128 stacks of
+# its share, and each batch allocates one more, the Cholesky factor: 8 MiB in all,
+# whatever the thread count.  On a 2-core host twice this budget was no faster,
+# since larger stacks miss the cache at every stage, and held 9 MiB more.  On one
+# thread N <= 11 keeps _BATCH samples; on two, N <= 8.
+_BATCH_ENTRIES = 1 << 17
 # The smallest dimension whose batches run on more than one thread.  On a 2-core
 # host (estimate_moment, 1 thread against 2) a second thread costs 7-10% at N = 2, 3,
 # where a batch is too little numpy work, and saves 30-52% at N = 4 to 40.  From
@@ -168,40 +177,63 @@ class ValidationReport:
         return self.fraction_within_4 >= 0.95 and self.max_abs_z <= 6.0
 
 
-def _batch_traces(n: int, powers: tuple[int, ...], seed: int,
-                  start: int, count: int) -> np.ndarray:
+class _Workspace:
+    """The arrays that one pool thread reuses for every batch of one ``_all_traces``
+    call: three complex128 stacks of ``size`` matrices, the largest batch, of which
+    a shorter batch uses leading slices, which are contiguous too."""
+
+    def __init__(self, n: int, size: int) -> None:
+        # the samples, their conjugates and rho; then the Cholesky input and the powers
+        self.stacks = tuple(np.empty((size, n, n), dtype=np.complex128) for _ in range(3))
+        self.floor = EIGENVALUE_FLOOR * np.eye(n)  # rho - floor * I is the Cholesky input
+
+
+def _reals(stack: np.ndarray) -> np.ndarray:
+    """The first half of a contiguous complex128 stack's memory, as a float64 stack
+    of its shape."""
+    return stack.reshape(-1).view(np.float64)[:stack.size].reshape(stack.shape)
+
+
+def _batch_traces(n: int, powers: tuple[int, ...], seed: int, start: int, count: int,
+                  workspace: _Workspace) -> np.ndarray:
     """Traces tr(rho^k) of samples [start, start + count), shape (count, len(powers)).
 
-    The content depends only on (n, powers, seed) and the absolute sample
-    indices, never on the batch or worker layout.
+    Every stage writes into ``workspace``; only the Cholesky factor and the
+    returned rows are allocated.  The content depends only on (n, powers, seed)
+    and the absolute sample indices, never on the batch or worker layout.
     """
-    u = unimodular_batch(n, seed, start, count)
-    rho = u @ u.conj().transpose(0, 2, 1)
-    del u  # the guards below hold two more stacks of this size
+    u, v, rho = (stack[:count] for stack in workspace.stacks)
+    # the half angles go where rho will be; the buffers go by position, as a
+    # stand-in for the sampler that takes *args expects
+    unimodular_batch(n, seed, start, count, u, _reals(rho))
+    np.matmul(u, np.conjugate(u, out=v).transpose(0, 2, 1), out=rho)
     rho /= n ** 2
-    drift = float(np.abs(rho - rho.conj().transpose(0, 2, 1)).max())
+    skew = np.subtract(rho, np.conjugate(rho.transpose(0, 2, 1), out=v), out=v)
+    drift = float(np.abs(skew, out=_reals(u)).max())
     if drift > HERMITIAN_DRIFT_TOL:
         raise InternalCheckError(f"non-Hermitian drift {drift:g} exceeds {HERMITIAN_DRIFT_TOL:g}")
     # every eigenvalue is >= the floor exactly when rho - floor * I is positive definite
     try:
-        np.linalg.cholesky(rho - EIGENVALUE_FLOOR * np.eye(n))
+        np.linalg.cholesky(np.subtract(rho, workspace.floor, out=v))
     except np.linalg.LinAlgError:
         raise InternalCheckError(f"an eigenvalue lies below the floor {EIGENVALUE_FLOOR:g}") from None
-    return _power_traces(rho, powers) / n
+    return _power_traces(rho, powers, (u, v)) / n
 
 
-def _power_traces(rho: np.ndarray, powers: tuple[int, ...]) -> np.ndarray:
+def _power_traces(rho: np.ndarray, powers: tuple[int, ...],
+                  buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """tr(rho^k) of each Hermitian matrix in the stack, shape (count, len(powers)).
 
     Powers of a Hermitian matrix are Hermitian, so tr(rho^k) is the sum of
     conj(rho^a) * rho^b over the entries, with a = floor(k/2) and b = ceil(k/2):
-    the products rho^2 .. rho^ceil(max/2) suffice, two of them held at a time.
+    the products rho^2 .. rho^ceil(max/2) suffice, two of them held at a time,
+    written by turns into the two ``buffers``, stacks of rho's shape.
     """
     out = np.empty((rho.shape[0], len(powers)))
     lower, upper = None, rho  # rho^(j-1) and rho^j
     for j in range(1, -(-max(powers) // 2) + 1):
         if j > 1:
-            lower, upper = upper, upper @ rho
+            lower, upper = upper, np.matmul(upper, rho, out=buffers[j % 2])
         for col, k in enumerate(powers):
             if k == 2 * j:
                 out[:, col] = _entrywise_inner(upper, upper)
@@ -234,10 +266,13 @@ def _all_traces(n: int, powers: tuple[int, ...], samples: int, seed: int,
     starts = range(0, samples, size)
     width = min(width, len(starts))
     traces = np.empty((samples, len(powers)))
+    local = threading.local()  # each pool thread's workspace, freed with the pool's threads
 
     def fill(start: int) -> None:
+        if not hasattr(local, "workspace"):
+            local.workspace = _Workspace(n, size)
         stop = min(start + size, samples)
-        traces[start:stop] = _batch_traces(n, powers, seed, start, stop - start)
+        traces[start:stop] = _batch_traces(n, powers, seed, start, stop - start, local.workspace)
 
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=width) as pool:
         list(pool.map(fill, starts))  # reading each result raises a batch's error

@@ -386,7 +386,7 @@ class TestWorkers:
         run_json(capsys, *MC_ARGS, "--samples", "1000", "--workers", "4")  # 1 batch
         assert pool_widths == [2, 1]
 
-    # at n = 64 the width also sets the batch size: 64, 32 and 16 samples
+    # at n = 64 the width also sets the batch size: 32, 16 and 8 samples
     @pytest.mark.parametrize("n, samples, widths", [(4, 3000, [1, 2, 3]), (64, 300, [1, 2, 4])])
     def test_multiworker_payload_matches(self, capsys, pool_widths, n, samples, widths):
         args = ("mc", "--n", str(n), "--k", "2", "--seed", "3", "--samples", str(samples))
@@ -400,7 +400,7 @@ class TestWorkers:
         (2, 3000, ["--workers", "4"], 1),  # below the threaded dimensions
         (64, 1100, ["--workers", "4"], 4),  # BLAS on one thread under the pool
         (8, 5000, [], 4),  # one thread per CPU ...
-        (8, 2000, [], 2),  # ... and per batch
+        (8, 1000, [], 2),  # ... and per batch
         (8, 3000, ["--workers", "1"], 1),
     ])
     def test_width_follows_the_dimension(self, capsys, pool_widths, n, samples, workers, width):

@@ -69,6 +69,29 @@ class TestSampler:
         with pytest.raises(TypeError):
             unimodular_batch(**arguments)
 
+    @pytest.mark.parametrize("given", ["out", "angles", "both"])
+    def test_given_buffers_give_the_same_bits(self, given):
+        # odd n and start: the batch starts inside a four-word Philox block
+        n, seed, start, count = 3, 4, 7, 5
+        want = unimodular_batch(n, seed, start, count)
+        out = np.full((count, n, n), np.nan, dtype=np.complex128) if given != "angles" else None
+        angles = np.full((count, n, n), np.nan) if given != "out" else None
+        got = unimodular_batch(n, seed, start, count, out, angles)
+        assert (got == want).all()
+        if out is not None:
+            assert got is out
+
+    @pytest.mark.parametrize("out, angles", [
+        (np.empty((2, 3, 3)), None),  # not complex
+        (np.empty((3, 3, 3), dtype=np.complex128), None),  # another count
+        (np.empty((2, 3, 6), dtype=np.complex128)[:, :, ::2], None),  # not contiguous
+        (None, np.empty((2, 3, 3), dtype=np.complex128)),
+        (None, np.empty((2, 9))),
+    ])
+    def test_unfit_buffers_refused(self, out, angles):
+        with pytest.raises(ValueError, match="buffer"):
+            unimodular_batch(3, 1, 0, 2, out, angles)
+
 
 class TestStreamContract:
     """Sample i of dimension n is the uniforms [i n^2, (i+1) n^2) of Philox(key=seed)."""
@@ -138,7 +161,7 @@ class TestAccuracy:
     def test_edge_words(self):
         units = np.array([0.0, 0.25, 0.5, 0.75, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1 - 2.0**-53])
         half = np.pi * units
-        entries = _unit_circle(half.copy())
+        entries = _unit_circle(half.copy(), np.empty(half.size, dtype=np.complex128))
         assert np.isfinite(entries.real).all() and np.isfinite(entries.imag).all()
         assert self.error(half, entries) <= 2.0**-50
         assert entries[0] == 1.0
@@ -182,23 +205,25 @@ class TestPerSampleTraces:
         u = unimodular_batch(n, seed, 0, count)
         smallest = np.linalg.eigvalsh(u @ u.conj().transpose(0, 2, 1) / n ** 2).min()
         monkeypatch.setattr(montecarlo, "EIGENVALUE_FLOOR", smallest + (1e-9 if above else -1e-9))
+        workspace = montecarlo._Workspace(n, count)
         if above:
             with pytest.raises(InternalCheckError, match="floor"):
-                montecarlo._batch_traces(n, (1,), seed, 0, count)
+                montecarlo._batch_traces(n, (1,), seed, 0, count, workspace)
         else:
-            montecarlo._batch_traces(n, (1,), seed, 0, count)
+            montecarlo._batch_traces(n, (1,), seed, 0, count, workspace)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
     def test_traces_match_the_eigenvalue_oracle(self, n):
         powers = tuple(range(1, montecarlo.MAX_POWER + 1))
         count, seed = (8 if n == 64 else 60), 17
-        traces = montecarlo._batch_traces(n, powers, seed, 0, count)
+        workspace = montecarlo._Workspace(n, count)
+        traces = montecarlo._batch_traces(n, powers, seed, 0, count, workspace)
         u = unimodular_batch(n, seed, 0, count)
         eigenvalues = np.linalg.eigvalsh(u @ u.conj().transpose(0, 2, 1) / n ** 2)
         want = np.stack([(eigenvalues ** k).sum(axis=1) / n for k in powers], axis=1)
         np.testing.assert_allclose(traces, want, rtol=1e-12, atol=0.0)
         # a column does not depend on which other powers are asked for
-        subset = montecarlo._batch_traces(n, (16, 5, 2), seed, 0, count)
+        subset = montecarlo._batch_traces(n, (16, 5, 2), seed, 0, count, workspace)
         assert (subset == traces[:, [15, 4, 1]]).all()
 
 
@@ -207,10 +232,10 @@ def record_batches(monkeypatch, compute=True):
     calls = []
     original = montecarlo._batch_traces
 
-    def recording(n, powers, seed, start, count):
+    def recording(n, powers, seed, start, count, workspace):
         calls.append((start, count))
         if compute:
-            return original(n, powers, seed, start, count)
+            return original(n, powers, seed, start, count, workspace)
         return np.zeros((count, len(powers)))
 
     monkeypatch.setattr(montecarlo, "_batch_traces", recording)
@@ -245,10 +270,10 @@ class TestBatchLayout:
 
     # the budget bounds the batches in flight together: on two threads each holds half
     @pytest.mark.parametrize("workers, n, size", [
-        *((1, n, size) for n, size in [(1, 1024), (16, 1024), (17, 907), (64, 64), (128, 16),
-                                       (256, 4)]),
-        *((2, n, size) for n, size in [(1, 1024), (11, 1024), (16, 512), (17, 453), (64, 32),
-                                       (128, 8), (256, 2)]),
+        *((1, n, size) for n, size in [(1, 1024), (11, 1024), (12, 910), (64, 32), (128, 8),
+                                       (256, 2)]),
+        *((2, n, size) for n, size in [(1, 1024), (8, 1024), (9, 809), (16, 256), (64, 16),
+                                       (128, 4), (256, 1)]),
     ])
     def test_batches_are_bounded_by_entries(self, monkeypatch, pool_widths, workers, n, size):
         calls = record_batches(monkeypatch, compute=False)
@@ -283,6 +308,38 @@ class TestBatchLayout:
         calls.clear()
         assert run() == want
         assert len(calls) < split
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_thread_builds_one_workspace(self, monkeypatch, pool_widths, workers):
+        n, powers, samples, seed = 64, (2, 3), 100, 3
+        want = montecarlo._all_traces(n, powers, samples, seed, workers=1)
+        sizes = []
+
+        class RecordingWorkspace(montecarlo._Workspace):
+            def __init__(self, n, size):
+                sizes.append(size)
+                super().__init__(n, size)
+
+        monkeypatch.setattr(montecarlo, "_Workspace", RecordingWorkspace)
+        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 10 * n * n * workers)
+        calls = record_batches(monkeypatch)
+        got = montecarlo._all_traces(n, powers, samples, seed, workers=workers)
+        assert len(calls) == 10
+        assert 1 <= len(sizes) <= workers and set(sizes) == {10}
+        assert pool_widths[-1] == workers
+        assert (got == want).all()
+
+    # a workspace holds the previous batch's arrays, and a short batch its leading slices
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65])
+    @pytest.mark.parametrize("short", [1, 3])
+    def test_a_short_batch_in_a_used_workspace_is_bit_identical(self, n, short):
+        powers, seed, size = (1, 2, 3, 4, 5), 8, 5
+        workspace = montecarlo._Workspace(n, size)
+        montecarlo._batch_traces(n, powers, seed, 0, size, workspace)
+        got = montecarlo._batch_traces(n, powers, seed, size, short, workspace)
+        fresh = montecarlo._batch_traces(n, powers, seed, size, short,
+                                         montecarlo._Workspace(n, short))
+        assert (got == fresh).all()
 
     def test_one_sample_per_batch_at_least(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 1)

@@ -7,9 +7,10 @@ it to N = 4 and 5, so that columns 4 and 5 of the deep rows are checked too.
 """
 
 import math
+import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations, product
 
 import pytest
 
@@ -45,12 +46,31 @@ def canonical_ledger(cells, current: int, column: bool) -> tuple[tuple[int, ...]
     """One ledger per orbit of ``cells`` under relabellings that move ``current`` to 0.
 
     ``cells[column][row]`` is the ledger, and ``current`` a column label if
-    ``column``, else a row label.  Each order of the labels of the current
-    class, the current one first, is followed by a sort of the lines of the
+    ``column``, else a row label.  The other labels of the current class are
+    grouped by the sorted entries of their line, which no relabelling
+    changes, and the groups are put in the order of that key (refinement
+    before permuting, McKay 1981).  Each order of the labels within their
+    groups, the current one first, is followed by a sort of the lines of the
     other class, and the least result is kept.  Labels whose line is zero
-    are interchangeable, so only the others are permuted.
+    are interchangeable, so they are not permuted.
     """
     lines = cells if column else list(zip(*cells))  # lines[x]: x in the current class
+    groups = defaultdict(list)
+    for x in range(len(cells)):
+        if x != current:
+            groups[tuple(sorted(lines[x]))].append(x)
+    orders = product(*(permutations(group) if any(key) else (group,)
+                       for key, group in sorted(groups.items())))
+    least = min(tuple(sorted(zip(*(lines[x] for x in (current, *chain(*order))))))
+                for order in orders)
+    return tuple(zip(*least)) if column else least
+
+
+def plain_canonical_ledger(cells, current: int, column: bool) -> tuple[tuple[int, ...], ...]:
+    """``canonical_ledger`` without the refinement: every order of the labels
+    with a nonzero line is tried, and the zero lines are put last.  It picks
+    another ledger of the orbit; it is the check of the refined form."""
+    lines = cells if column else list(zip(*cells))
     rest = [x for x in range(len(cells)) if x != current]
     moving = [x for x in rest if any(lines[x])]
     still = [x for x in rest if not any(lines[x])]
@@ -59,16 +79,18 @@ def canonical_ledger(cells, current: int, column: bool) -> tuple[tuple[int, ...]
     return tuple(zip(*least)) if column else least
 
 
-def reduced_transfer_count(k: int, n: int) -> int:
+def reduced_transfer_count(k: int, n: int, canonical=canonical_ledger) -> int:
     """``transfer_count`` with the states of a layer merged into orbits.
 
     Permuting the row labels and the column labels maps walks to walks one
     to one, and a state's number of completions depends only on its orbit,
-    so each layer keeps one canonical state per orbit (``canonical_ledger``,
-    which puts the current label at 0), with the walks that reach the whole
-    orbit.  The closing edge needs no memory of vertex 0's label: its column
-    marginal is balanced only when the last column label is vertex 0's, so
-    the walks that end on the zero ledger are the closed ones.
+    so each layer keeps one canonical state per orbit (``canonical``, which
+    puts the current label at 0), with the walks that reach the whole orbit.
+    For the same reason the labels of the other class whose ledger line is
+    zero lead to one orbit, so a step takes one of them, weighted by their
+    number.  The closing edge needs no memory of vertex 0's label: its
+    column marginal is balanced only when the last column label is vertex
+    0's, so the walks that end on the zero ledger are the closed ones.
     """
     zero = ((0,) * n,) * n
     layer = {zero: 1}  # vertex 0 at column label 0
@@ -77,30 +99,64 @@ def reduced_transfer_count(k: int, n: int) -> int:
         from_column = edge % 2 == 0
         following = defaultdict(int)
         for ledger, ways in layer.items():
-            for other in range(n):
+            lines = list(zip(*ledger)) if from_column else ledger  # the other class's
+            fresh = [x for x in range(n) if not any(lines[x])]
+            steps = [(x, 1) for x in range(n) if any(lines[x])]
+            if fresh:
+                steps.append((fresh[0], len(fresh)))
+            for other, weight in steps:
                 cells = [list(line) for line in ledger]
                 if from_column:
                     cells[0][other] += 1
                 else:
                     cells[other][0] -= 1
                 if sum(abs(x) for line in cells for x in line) <= left:
-                    following[canonical_ledger(cells, other, not from_column)] += ways
+                    following[canonical(cells, other, not from_column)] += ways * weight
         layer = following
     return n * layer.get(zero, 0)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("k", range(1, 8))
 def test_reduced_transfer_count_equals_the_plain_one(k, n):
-    assert reduced_transfer_count(k, n) == transfer_count(k, n)
+    want = transfer_count(k, n)
+    assert reduced_transfer_count(k, n) == want
+    assert reduced_transfer_count(k, n, plain_canonical_ledger) == want
+
+
+# every ledger of a small space: the refined form must merge exactly the ledgers
+# that the plain one merges, the orbits
+@pytest.mark.parametrize("n, values", [(2, (-1, 0, 1, 2)), (3, (0, 1)), (3, (-1, 1))])
+@pytest.mark.parametrize("column", [True, False])
+def test_refined_form_merges_the_orbits(n, values, column):
+    for current in range(n):
+        pairs = set()
+        for entries in product(values, repeat=n * n):
+            cells = [entries[i * n:(i + 1) * n] for i in range(n)]
+            pairs.add((canonical_ledger(cells, current, column),
+                       plain_canonical_ledger(cells, current, column)))
+        assert len({refined for refined, _ in pairs}) == len({plain for _, plain in pairs}) == len(pairs)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_refined_form_is_the_same_across_an_orbit(n):
+    rng = random.Random(n)
+    for _ in range(200):
+        cells = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+        current, column = rng.randrange(n), rng.random() < 0.5
+        columns, rows = rng.sample(range(n), n), rng.sample(range(n), n)  # new label -> old
+        moved = [[cells[c][r] for r in rows] for c in columns]
+        moved_current = (columns if column else rows).index(current)
+        assert (canonical_ledger(moved, moved_current, column)
+                == canonical_ledger(cells, current, column))
 
 
 # The deepest k first, so that one capped sweep serves every row of an n.
 @pytest.mark.parametrize("n, k", [
-    pytest.param(4, 16, marks=pytest.mark.slow),  # 4.5 s, half of it the engine
-    pytest.param(4, 15, marks=pytest.mark.slow),  # 2.3 s on its own
+    pytest.param(4, 16, marks=pytest.mark.slow),  # 2-3 s, half of it the engine
+    pytest.param(4, 15, marks=pytest.mark.slow),  # 2 s on its own
     *[(4, k) for k in range(14, 0, -1)],
-    pytest.param(5, 14, marks=pytest.mark.slow),  # 6 s, 2.4 of it the engine
+    pytest.param(5, 14, marks=pytest.mark.slow),  # 4 s, 2.7 of it the engine
     *[(5, k) for k in range(13, 0, -1)],
 ])
 def test_exact_moment_equals_the_reduced_transfer_count(k, n):
