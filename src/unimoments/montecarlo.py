@@ -20,12 +20,18 @@ the last digits can differ, since numpy picks its tan kernel (``sampling``)
 and BLAS its kernels by CPU.  A batch holds a few MiB of matrices
 (``_BATCH_ENTRIES``) and writes its rows of the one preallocated trace array;
 the final reduction is a single numpy pairwise sum over that index-ordered
-array.  Batches run on a pool of threads in the calling process: every stage
-of a batch is numpy work that releases the GIL.  Below ``THREADED_FROM`` the
-pool is one thread; from there on, one per CPU and batch, and numpy's BLAS is
-held to one thread while the pool runs, so that pool threads do not contend
-with BLAS threads for the same cores.  ``_BATCH_ENTRIES`` bounds the batches
-in flight together, not each batch.
+array.  Batches run on a pool of threads in the calling process.  Below
+``THREADED_FROM`` the pool is one thread; from there on, one per CPU and
+batch, and numpy's BLAS is held to one thread while the pool runs, so that
+pool threads do not contend with BLAS threads for the same cores.
+``_BATCH_ENTRIES`` bounds the batches in flight together, not each batch.
+Every stage of a batch releases the GIL, but np.matmul and np.linalg.cholesky
+make one BLAS or LAPACK call per matrix, and at small N those calls were
+measured not to overlap across threads.  So up to ``STACKED_MAX`` the
+products and the Cholesky check are numpy arithmetic over the whole stack:
+rank-1 updates, and a right-looking Cholesky that checks only its pivots.
+They sum in another order than BLAS, so there a trace can differ in its last
+bits from the BLAS path's, but never between layouts.
 
 Each pool thread makes one workspace (``_Workspace``) at its first batch, and
 every stage of every later batch writes into it with ``out=``; the workspaces
@@ -73,19 +79,32 @@ DETERMINISTIC_DIFF_FLOOR = 1e-12
 _BATCH = 1024  # samples at most in a batch, the unit of work splitting
 # Matrix entries at most in all the batches in flight together: a complex128 stack
 # of them is 2 MiB.  Each pool thread's workspace holds three complex128 stacks of
-# its share, and each batch allocates one more, the Cholesky factor: 8 MiB in all,
+# its share, and a fourth from N = 1 to STACKED_MAX, the products' terms; above
+# STACKED_MAX each batch allocates the fourth, the Cholesky factor: 8 MiB in all,
 # whatever the thread count.  On a 2-core host twice this budget was no faster,
 # since larger stacks miss the cache at every stage, and held 9 MiB more.  On one
 # thread N <= 11 keeps _BATCH samples; on two, N <= 8.
 _BATCH_ENTRIES = 1 << 17
 # The smallest dimension whose batches run on more than one thread.  On a 2-core
-# host (estimate_moment, 1 thread against 2) a second thread costs 7-10% at N = 2, 3,
-# where a batch is too little numpy work, and saves 30-52% at N = 4 to 40.  From
-# N = 41 OpenBLAS would spread each product over the cores itself, for at most a
-# fifth off at twice the CPU time.  Held to one thread under two pool threads
+# host (estimate_moment, 20,000 samples, 1 thread against 2, medians of 31) a second
+# thread saves 25-30% at N = 3 and k = 6 (16.6-18.5 against 22.1-26.4 ms) and 0-24%
+# at k = 2; at N = 1 and 2 a batch is too little numpy work, and it gains nothing.
+# It saves 33-35% at N = 4 (k = 4, 6), 38% at N = 8 and about half at N = 16 and 40.
+# From N = 41 OpenBLAS would spread each product over the cores itself, for at most
+# a fifth off at twice the CPU time.  Held to one thread under two pool threads
 # instead, it makes estimate_moment 38-48% faster than one pool thread over
 # threaded BLAS at N = 41 to 256.
-THREADED_FROM = 4
+THREADED_FROM = 3
+# The largest dimension whose products and Cholesky check are numpy arithmetic over
+# the whole stack (``_product``, ``_positive_definite``), not one BLAS or LAPACK call
+# per matrix.  At small N those calls do not overlap across pool threads: on a
+# 2-core host, 1024-matrix stacks at N = 4 on two threads took 0.29-0.56 ms of wall
+# time a product and 0.34-0.53 ms a factorisation, no less than on one, against
+# 0.13-0.21 and 0.19-0.31 ms stacked.  estimate_moment (20,000 samples, two threads,
+# medians of 21-31) took 23-27 against 26-49 ms at N = 4 (k = 2, 4, 6).  N = 5 gains
+# on two threads (39-41 against 51 ms at k = 6) but loses up to a fifth on one, and
+# N = 6 gains nothing on two.
+STACKED_MAX = 4
 
 
 def _find_blas_threads():
@@ -180,11 +199,13 @@ class ValidationReport:
 class _Workspace:
     """The arrays that one pool thread reuses for every batch of one ``_all_traces``
     call: three complex128 stacks of ``size`` matrices, the largest batch, of which
-    a shorter batch uses leading slices, which are contiguous too."""
+    a shorter batch uses leading slices, which are contiguous too, and up to
+    ``STACKED_MAX`` a fourth, the terms of the stacked products."""
 
     def __init__(self, n: int, size: int) -> None:
         # the samples, their conjugates and rho; then the Cholesky input and the powers
         self.stacks = tuple(np.empty((size, n, n), dtype=np.complex128) for _ in range(3))
+        self.terms = np.empty((size, n, n), dtype=np.complex128) if n <= STACKED_MAX else None
         self.floor = EIGENVALUE_FLOOR * np.eye(n)  # rho - floor * I is the Cholesky input
 
 
@@ -198,30 +219,75 @@ def _batch_traces(n: int, powers: tuple[int, ...], seed: int, start: int, count:
                   workspace: _Workspace) -> np.ndarray:
     """Traces tr(rho^k) of samples [start, start + count), shape (count, len(powers)).
 
-    Every stage writes into ``workspace``; only the Cholesky factor and the
-    returned rows are allocated.  The content depends only on (n, powers, seed)
-    and the absolute sample indices, never on the batch or worker layout.
+    Every stage writes into ``workspace``; only the returned rows are allocated,
+    and the Cholesky factor above ``STACKED_MAX``, a column per pivot up to it.
+    The content depends only on (n, powers, seed) and the absolute sample
+    indices, never on the batch or worker layout.
     """
     u, v, rho = (stack[:count] for stack in workspace.stacks)
+    terms = None if workspace.terms is None else workspace.terms[:count]
     # the half angles go where rho will be; the buffers go by position, as a
     # stand-in for the sampler that takes *args expects
     unimodular_batch(n, seed, start, count, u, _reals(rho))
-    np.matmul(u, np.conjugate(u, out=v).transpose(0, 2, 1), out=rho)
+    _product(u, np.conjugate(u, out=v).transpose(0, 2, 1), rho, terms)
     rho /= n ** 2
     skew = np.subtract(rho, np.conjugate(rho.transpose(0, 2, 1), out=v), out=v)
     drift = float(np.abs(skew, out=_reals(u)).max())
-    if drift > HERMITIAN_DRIFT_TOL:
+    if not drift <= HERMITIAN_DRIFT_TOL:  # a NaN in rho fails too
         raise InternalCheckError(f"non-Hermitian drift {drift:g} exceeds {HERMITIAN_DRIFT_TOL:g}")
     # every eigenvalue is >= the floor exactly when rho - floor * I is positive definite
-    try:
-        np.linalg.cholesky(np.subtract(rho, workspace.floor, out=v))
-    except np.linalg.LinAlgError:
-        raise InternalCheckError(f"an eigenvalue lies below the floor {EIGENVALUE_FLOOR:g}") from None
-    return _power_traces(rho, powers, (u, v)) / n
+    if not _positive_definite(np.subtract(rho, workspace.floor, out=v), terms):
+        raise InternalCheckError(f"an eigenvalue lies below the floor {EIGENVALUE_FLOOR:g}")
+    return _power_traces(rho, powers, (u, v), terms) / n
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+             terms: np.ndarray | None) -> np.ndarray:
+    """The matrix products a @ b of two stacks, written into ``out``.
+
+    Up to ``STACKED_MAX``, as n rank-1 updates over the whole stack, column l of
+    a times row l of b summed in order of l, each term written into ``terms``:
+    numpy arithmetic, where np.matmul makes one BLAS call per matrix.
+    """
+    n = a.shape[-1]
+    if n > STACKED_MAX:
+        return np.matmul(a, b, out=out)
+    np.multiply(a[:, :, :1], b[:, :1, :], out=out)
+    for l in range(1, n):
+        out += np.multiply(a[:, :, l:l + 1], b[:, l:l + 1, :], out=terms)
+    return out
+
+
+def _positive_definite(a: np.ndarray, terms: np.ndarray | None) -> bool:
+    """Whether every matrix of a Hermitian stack is positive definite; ``a`` is
+    overwritten, and only its lower triangle is read, as LAPACK reads it.
+
+    Up to ``STACKED_MAX``, a right-looking Cholesky over the whole stack, each
+    outer product written into ``terms``: a pivot that is not > 0 refuses, NaN
+    included, as in reference LAPACK.  Above it, np.linalg.cholesky, which on
+    numpy's OpenBLAS tests a pivot for <= 0 only and so passes a NaN; the drift
+    check refuses a NaN in rho before either runs.
+    """
+    n = a.shape[-1]
+    if n > STACKED_MAX:
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    for j in range(n):
+        pivot = a[:, j, j].real
+        if not (pivot > 0).all():
+            return False
+        column = a[:, j + 1:, j]
+        scaled = np.conjugate(column) / pivot[:, None]
+        a[:, j + 1:, j + 1:] -= np.multiply(column[:, :, None], scaled[:, None, :],
+                                           out=terms[:, j + 1:, j + 1:])
+    return True
 
 
 def _power_traces(rho: np.ndarray, powers: tuple[int, ...],
-                  buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                  buffers: tuple[np.ndarray, np.ndarray], terms: np.ndarray | None) -> np.ndarray:
     """tr(rho^k) of each Hermitian matrix in the stack, shape (count, len(powers)).
 
     Powers of a Hermitian matrix are Hermitian, so tr(rho^k) is the sum of
@@ -233,7 +299,7 @@ def _power_traces(rho: np.ndarray, powers: tuple[int, ...],
     lower, upper = None, rho  # rho^(j-1) and rho^j
     for j in range(1, -(-max(powers) // 2) + 1):
         if j > 1:
-            lower, upper = upper, np.matmul(upper, rho, out=buffers[j % 2])
+            lower, upper = upper, _product(upper, rho, buffers[j % 2], terms)
         for col, k in enumerate(powers):
             if k == 2 * j:
                 out[:, col] = _entrywise_inner(upper, upper)

@@ -199,9 +199,11 @@ class TestPerSampleTraces:
         traces = montecarlo._all_traces(1, (1, 2, 16), 200, seed=6, workers=1)
         assert np.abs(traces - 1.0).max() < 1e-12
 
+    # n = 2, 3 and 4 check the floor over the stack, n = 8 through LAPACK
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
     @pytest.mark.parametrize("above", [False, True])
-    def test_floor_guard_fires_exactly_below_the_smallest_eigenvalue(self, monkeypatch, above):
-        n, count, seed = 3, 40, 9
+    def test_floor_guard_fires_exactly_below_the_smallest_eigenvalue(self, monkeypatch, n, above):
+        count, seed = 40, 9
         u = unimodular_batch(n, seed, 0, count)
         smallest = np.linalg.eigvalsh(u @ u.conj().transpose(0, 2, 1) / n ** 2).min()
         monkeypatch.setattr(montecarlo, "EIGENVALUE_FLOOR", smallest + (1e-9 if above else -1e-9))
@@ -212,7 +214,37 @@ class TestPerSampleTraces:
         else:
             montecarlo._batch_traces(n, (1,), seed, 0, count, workspace)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_a_gram_product_without_its_conjugate_trips_the_drift_guard(self, monkeypatch, n):
+        # u u^T is symmetric, not Hermitian; only the first batch's Gram product is broken
+        count, seed, original, calls = 40, 9, montecarlo._product, []
+
+        def without_conjugate(a, b, out, terms):
+            calls.append(terms is not None)
+            return original(a, np.conjugate(b) if len(calls) == 1 else b, out, terms)
+
+        monkeypatch.setattr(montecarlo, "_product", without_conjugate)
+        with pytest.raises(InternalCheckError, match="drift"):
+            montecarlo._batch_traces(n, (1,), seed, 0, count, montecarlo._Workspace(n, count))
+        assert calls == [n <= montecarlo.STACKED_MAX]
+
+    # a NaN anywhere in rho makes the drift NaN, which the drift guard refuses on both
+    # paths, though numpy's OpenBLAS Cholesky would accept it
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)])
+    def test_a_nan_in_rho_trips_the_drift_guard(self, monkeypatch, n, entry):
+        count, seed, original = 40, 9, montecarlo._product
+
+        def planting_nan(a, b, out, terms):
+            original(a, b, out, terms)
+            out[count // 2][entry] = np.nan
+            return out
+
+        monkeypatch.setattr(montecarlo, "_product", planting_nan)
+        with pytest.raises(InternalCheckError, match="drift nan"):
+            montecarlo._batch_traces(n, (1,), seed, 0, count, montecarlo._Workspace(n, count))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
     def test_traces_match_the_eigenvalue_oracle(self, n):
         powers = tuple(range(1, montecarlo.MAX_POWER + 1))
         count, seed = (8 if n == 64 else 60), 17
@@ -225,6 +257,97 @@ class TestPerSampleTraces:
         # a column does not depend on which other powers are asked for
         subset = montecarlo._batch_traces(n, (16, 5, 2), seed, 0, count, workspace)
         assert (subset == traces[:, [15, 4, 1]]).all()
+
+
+def hermitian_stack(n, count, smallest, seed):
+    """``count`` random Hermitian n x n matrices, each with one eigenvalue
+    ``smallest`` and the rest in [0.1, 1]."""
+    rng = np.random.default_rng(seed)
+    gaussian = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    q = np.linalg.qr(gaussian)[0]
+    eigenvalues = rng.uniform(0.1, 1.0, size=(count, n))
+    eigenvalues[:, 0] = smallest
+    return (q * eigenvalues[:, None, :]) @ q.conj().transpose(0, 2, 1)
+
+
+def lapack_accepts(stack):
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestStackedKernels:
+    """Up to STACKED_MAX, products and the floor check are numpy arithmetic over the
+    stack; they must agree with np.matmul and np.linalg.cholesky."""
+
+    SMALL = range(1, montecarlo.STACKED_MAX + 1)
+
+    @pytest.mark.parametrize("n", SMALL)
+    @pytest.mark.parametrize("count", [50, 7, 1])  # a full batch and short ones
+    def test_product_equals_matmul(self, n, count):
+        rng = np.random.default_rng(n)
+        a, b = (rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+                for _ in range(2))
+        terms = montecarlo._Workspace(n, 50).terms[:count]
+        got = montecarlo._product(a, b, np.empty_like(a), terms)
+        # rtol 1e-14 of the bound |a| |b| on each entry's rounding error
+        assert (np.abs(got - a @ b) <= 1e-14 * (np.abs(a) @ np.abs(b))).all()
+
+    def test_product_has_its_terms_stack_only_where_stacked(self):
+        assert montecarlo._Workspace(montecarlo.STACKED_MAX, 3).terms.shape[0] == 3
+        assert montecarlo._Workspace(montecarlo.STACKED_MAX + 1, 3).terms is None
+
+    # the check's input is rho - floor * I: an eigenvalue just above or below the floor
+    # is one just above or below 0
+    @pytest.mark.parametrize("n", SMALL)
+    @pytest.mark.parametrize("margin", [1e-9, -1e-9])
+    def test_floor_check_agrees_with_lapack(self, n, margin):
+        count = 30
+        stack = hermitian_stack(n, count, margin, seed=n)
+        terms = montecarlo._Workspace(n, count).terms
+        for matrix in stack:
+            want = lapack_accepts(matrix)
+            assert want == (margin > 0)
+            assert montecarlo._positive_definite(matrix[None].copy(), terms[:1]) == want
+        # one matrix below the floor refuses the whole stack
+        mixed = hermitian_stack(n, count, 1e-9, seed=n)
+        mixed[count // 2] = stack[count // 2]
+        assert montecarlo._positive_definite(mixed.copy(), terms) == lapack_accepts(mixed)
+
+    # numpy's OpenBLAS accepts a NaN pivot (it tests only <= 0), so this asserts what
+    # reference LAPACK does: refuse a NaN in the lower triangle or the real diagonal,
+    # the entries a Cholesky reads
+    @pytest.mark.parametrize("n", SMALL)
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_a_nan_that_a_cholesky_reads_is_refused(self, n, part):
+        count = 3
+        terms = montecarlo._Workspace(n, count).terms
+        for i in range(n):
+            for j in range(n):
+                stack = hermitian_stack(n, count, 0.1, seed=7)
+                getattr(stack, part)[1, i, j] = np.nan
+                read = j < i or (i == j and part == "real")
+                assert montecarlo._positive_definite(stack, terms) == (not read)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_blas_and_lapack_only_above_the_stacked_dimensions(self, monkeypatch, n):
+        calls = []
+
+        def recording(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np, "matmul", recording("matmul", np.matmul))
+        monkeypatch.setattr(np.linalg, "cholesky", recording("cholesky", np.linalg.cholesky))
+        count = 20
+        montecarlo._batch_traces(n, (1, 2, 5), 3, 0, count, montecarlo._Workspace(n, count))
+        # one Gram product, two power products and one floor check
+        assert calls == ([] if n <= montecarlo.STACKED_MAX
+                         else ["matmul", "cholesky", "matmul", "matmul"])
 
 
 def record_batches(monkeypatch, compute=True):
@@ -243,8 +366,9 @@ def record_batches(monkeypatch, compute=True):
 
 
 class TestBatchLayout:
-    # 2 and 3 lie below the threaded dimensions, so they run one thread whatever is asked
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 64])
+    # 2 lies below the threaded dimensions, so it runs one thread whatever is asked; up
+    # to 4 the products and the floor check are stacked arithmetic
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 64])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_small_batches_are_bit_identical(self, monkeypatch, pool_widths, n, workers):
         powers, samples, seed = (1, 2, 5), 300, 21
@@ -258,12 +382,14 @@ class TestBatchLayout:
         assert (got == want).all()
         assert pool_widths[-1] == width
 
-    def test_every_batch_runs_on_two_workers(self, monkeypatch, pool_widths):
-        # at n = 5 a sample is 25 stream words, so samples straddle Philox blocks
+    # at n = 5 a sample is 25 stream words, so samples straddle Philox blocks; n = 4 is
+    # the largest stacked dimension
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_batch_runs_on_two_workers(self, monkeypatch, pool_widths, n):
         samples = montecarlo._BATCH * 2 + 100
-        want = montecarlo._all_traces(5, (3,), samples, seed=7, workers=1)
+        want = montecarlo._all_traces(n, (3,), samples, seed=7, workers=1)
         calls = record_batches(monkeypatch)
-        got = montecarlo._all_traces(5, (3,), samples, seed=7, workers=2)
+        got = montecarlo._all_traces(n, (3,), samples, seed=7, workers=2)
         assert sorted(calls) == [(0, 1024), (1024, 1024), (2048, 100)]
         assert (got == want).all()
         assert pool_widths == [1, 2]
@@ -330,7 +456,7 @@ class TestBatchLayout:
         assert (got == want).all()
 
     # a workspace holds the previous batch's arrays, and a short batch its leading slices
-    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65])
     @pytest.mark.parametrize("short", [1, 3])
     def test_a_short_batch_in_a_used_workspace_is_bit_identical(self, n, short):
         powers, seed, size = (1, 2, 3, 4, 5), 8, 5

@@ -168,6 +168,7 @@ def test_exact_moment_equals_the_reduced_transfer_count(k, n):
 @pytest.mark.parametrize("n, k", [
     *[(n, k) for n in (2, 3) for k in range(1, 15)],
     *[(4, k) for k in range(1, 11)],
+    (3, 15),  # with Q_15(4) and F(30, 1), F(30, 2): columns 3 and 4 of row 2k = 30
     (3, 16),
     (3, 20),
     pytest.param(3, 24, marks=pytest.mark.slow),  # 1.5 s, two thirds of it the transfer count
