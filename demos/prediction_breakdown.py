@@ -1,9 +1,10 @@
 """Where the Borel-triangle closed form stops matching the exact counts.
 
 A closed-form prediction for the counts F(2k, j), built from Borel-triangle
-entries pushed through the Stirling change of basis, reproduces every count
-up to k = 5.  At k = 6 it undershoots three entries; the most cited one is
-F(12, 3), predicted 10988 against an actual 11000.
+entries converted to falling factorials by synthetic division
+(``monomial_to_pochhammer``), reproduces every count up to k = 5.  At k = 6
+it undershoots three entries; the most cited one is F(12, 3), predicted
+10988 against an actual 11000.
 """
 
 from unimoments import conjectured_ftable, count_ddcg_rows, find_disproof

@@ -10,62 +10,14 @@ the Borel-triangle closed form that predicts the same counts only up to
 k = 5, and validates everything by Monte Carlo.
 """
 
-from .counting import count_brute, count_ddcg_partitions, count_ddcg_rows
-from .errors import InternalCheckError, ScaleLimitError
-from .graphs import (
-    Color,
-    ColoredDigraph,
-    alternating_cycle,
-    balanced_quotient_counts,
-    balanced_quotient_counts_brute,
-    is_ddcg,
-    iter_partitions,
-    quotient,
-    tau_via_quotients,
-    traffic_state_brute,
-)
-from .montecarlo import (
-    MomentEstimate,
-    ValidationReport,
-    estimate_moment,
-    validate_against_exact,
-)
-from .polynomials import (
-    borel_entry,
-    conjectured_ftable,
-    exact_moment,
-    find_disproof,
-    monomial_to_pochhammer,
-    pochhammer_to_monomial,
-)
+from . import counting, errors, graphs, montecarlo, polynomials
+from .counting import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .polynomials import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Color",
-    "ColoredDigraph",
-    "alternating_cycle",
-    "quotient",
-    "is_ddcg",
-    "balanced_quotient_counts",
-    "balanced_quotient_counts_brute",
-    "traffic_state_brute",
-    "tau_via_quotients",
-    "iter_partitions",
-    "count_ddcg_partitions",
-    "count_ddcg_rows",
-    "count_brute",
-    "pochhammer_to_monomial",
-    "monomial_to_pochhammer",
-    "borel_entry",
-    "conjectured_ftable",
-    "exact_moment",
-    "find_disproof",
-    "MomentEstimate",
-    "ValidationReport",
-    "estimate_moment",
-    "validate_against_exact",
-    "ScaleLimitError",
-    "InternalCheckError",
-    "__version__",
-]
+__all__ = [name for module in (counting, errors, graphs, montecarlo, polynomials)
+           for name in module.__all__] + ["__version__"]

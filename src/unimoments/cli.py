@@ -124,10 +124,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
-    p_count = sub.add_parser("count", help="balanced-quotient counts F(2k, j)")
+    p_count = command("count", _cmd_count, "balanced-quotient counts F(2k, j)")
     group = p_count.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int)
     group.add_argument("--k-range", type=_parse_k_range, metavar="A..B")
@@ -135,18 +137,14 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="use the partition-lattice oracle instead of the engine")
     p_count.add_argument("--workers", type=int, default=None,
                          help="accepted and ignored; must be >= 1")
-    add_format(p_count)
 
-    p_poly = sub.add_parser("poly", help="moment polynomial Q_k in both bases")
+    p_poly = command("poly", _cmd_poly, "moment polynomial Q_k in both bases")
     p_poly.add_argument("--k", type=int, required=True)
-    add_format(p_poly)
 
-    p_conj = sub.add_parser("conjecture",
-                            help="Borel-triangle prediction vs actual counts")
+    p_conj = command("conjecture", _cmd_conjecture, "Borel-triangle prediction vs actual counts")
     p_conj.add_argument("--k-max", type=int, required=True)
-    add_format(p_conj)
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo moment estimate vs exact")
+    p_mc = command("mc", _cmd_mc, "Monte Carlo moment estimate vs exact")
     p_mc.add_argument("--n", type=int, required=True)
     p_mc.add_argument("--k", type=int, required=True)
     p_mc.add_argument("--samples", type=int, default=100_000)
@@ -154,8 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--workers", type=int, default=None,
                       help="at most this many threads; mc picks its own count from --n "
                            "and holds BLAS to one thread while they run")
-    add_format(p_mc)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
 
 
@@ -210,14 +209,6 @@ def _cmd_mc(args):
     return parameters, {"rows": [row]}
 
 
-_COMMANDS = {
-    "count": _cmd_count,
-    "poly": _cmd_poly,
-    "conjecture": _cmd_conjecture,
-    "mc": _cmd_mc,
-}
-
-
 def _emit_json(command, parameters, results, runtime_ms, out):
     encoded = {name: [{key: _encode(value) for key, value in row.items()} for row in rows]
                for name, rows in results.items()}
@@ -243,7 +234,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        parameters, results = _COMMANDS[args.command](args)
+        parameters, results = args.run(args)
     except ScaleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCALE

@@ -45,7 +45,6 @@ __all__ = [
     "is_ddcg",
     "balanced_quotient_counts",
     "balanced_quotient_counts_brute",
-    "injective_traffic_value",
     "tau_via_quotients",
     "traffic_state_brute",
     "iter_partitions",
@@ -60,6 +59,8 @@ BRUTE_MAX_VERTICES = 6
 # the sample index and at most max(V, 2) vertex indices, so at the ceiling
 # (V = N = 6) chunks of 11 samples keep each within 8 MiB.
 _BRUTE_BUDGET = 1 << 19
+# Samples at most: their values are one complex128 array, 128 MiB at the cap.
+_BRUTE_MAX_SAMPLES = 1 << 23
 
 # The most states one layer of balanced_quotient_counts may hold.  Two
 # layers are alive at once, and each state holds its map of block counts.
@@ -475,8 +476,9 @@ def traffic_state_brute(g: ColoredDigraph, n: int, samples: int, seed: int,
     a vertex that no edge reads multiplies the sum by n.  Uses no quotient,
     so it checks ``tau_via_quotients`` independently.  Deterministic given
     (seed, samples), whose seed is checked first, even with no edge to draw
-    for; exponential in the vertex count, hence the small-scale guard.  With
-    ``with_stderr`` returns (mean, standard error) instead of the mean.
+    for; exponential in the vertex count, with one value held per sample,
+    hence the small-scale guards.  With ``with_stderr`` returns (mean,
+    standard error) instead of the mean.
     """
     n, samples = operator.index(n), operator.index(samples)
     check_seed(seed)
@@ -487,6 +489,9 @@ def traffic_state_brute(g: ColoredDigraph, n: int, samples: int, seed: int,
         raise ValueError("matrix dimension must be >= 1")
     if samples < 1:
         raise ValueError(f"need at least one sample (got {samples})")
+    if samples > _BRUTE_MAX_SAMPLES:
+        raise ScaleLimitError(f"brute-force evaluator limited to {_BRUTE_MAX_SAMPLES} samples "
+                              f"(got {samples})")
     v = g.vertex_count
     values = np.full(samples, n ** v / n, dtype=np.complex128)  # with no edge
     if g.edges:

@@ -245,15 +245,15 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray,
              terms: np.ndarray | None) -> np.ndarray:
     """The matrix products a @ b of two stacks, written into ``out``.
 
-    Up to ``STACKED_MAX``, as n rank-1 updates over the whole stack, column l of
-    a times row l of b summed in order of l, each term written into ``terms``:
-    numpy arithmetic, where np.matmul makes one BLAS call per matrix.
+    Given ``terms`` (the workspace holds them up to ``STACKED_MAX``), as n rank-1
+    updates over the whole stack, column l of a times row l of b summed in order
+    of l, each term written into ``terms``: numpy arithmetic, where np.matmul
+    makes one BLAS call per matrix.
     """
-    n = a.shape[-1]
-    if n > STACKED_MAX:
+    if terms is None:
         return np.matmul(a, b, out=out)
     np.multiply(a[:, :, :1], b[:, :1, :], out=out)
-    for l in range(1, n):
+    for l in range(1, a.shape[-1]):
         out += np.multiply(a[:, :, l:l + 1], b[:, l:l + 1, :], out=terms)
     return out
 
@@ -262,20 +262,19 @@ def _positive_definite(a: np.ndarray, terms: np.ndarray | None) -> bool:
     """Whether every matrix of a Hermitian stack is positive definite; ``a`` is
     overwritten, and only its lower triangle is read, as LAPACK reads it.
 
-    Up to ``STACKED_MAX``, a right-looking Cholesky over the whole stack, each
-    outer product written into ``terms``: a pivot that is not > 0 refuses, NaN
-    included, as in reference LAPACK.  Above it, np.linalg.cholesky, which on
+    Given ``terms``, a right-looking Cholesky over the whole stack, each outer
+    product written into ``terms``: a pivot that is not > 0 refuses, NaN
+    included, as in reference LAPACK.  Without, np.linalg.cholesky, which on
     numpy's OpenBLAS tests a pivot for <= 0 only and so passes a NaN; the drift
     check refuses a NaN in rho before either runs.
     """
-    n = a.shape[-1]
-    if n > STACKED_MAX:
+    if terms is None:
         try:
             np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             return False
         return True
-    for j in range(n):
+    for j in range(a.shape[-1]):
         pivot = a[:, j, j].real
         if not (pivot > 0).all():
             return False

@@ -5,12 +5,18 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
 from unimoments import cli, counting, graphs, montecarlo, polynomials
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -261,6 +267,14 @@ class TestSchemas:
         assert record["schema_version"] == cli.SCHEMA_VERSION
         assert record["command"] == argv[0]
 
+    def test_module_entry_point(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "unimoments", "count", "--k", "2"],
+                                env={**os.environ, "PYTHONPATH": path},
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        jsonschema.validate(json.loads(result.stdout), cli.OUTPUT_SCHEMAS["count"])
+
     @pytest.mark.parametrize("argv", ONE_CALL_PER_COMMAND)
     def test_csv_header_is_the_json_row_keys(self, capsys, argv):
         record = run_json(capsys, *argv)
@@ -280,6 +294,17 @@ class TestExitCodes:
                              ids=" ".join)
     def test_usage_error_on_bad_value(self, capsys, no_counting, argv):
         assert cli.main(argv) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("7", "expected a..b"),
+        ("a..b", "expected integer bounds"),
+        ("5..3", "need 1 <= a <= b"),
+    ])
+    def test_usage_error_on_bad_k_range(self, capsys, no_counting, text, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", "--k-range", text])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

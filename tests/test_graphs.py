@@ -230,6 +230,10 @@ class TestTauViaQuotients:
         assert tau_via_quotients(alternating_cycle(2), 2) == 6
         assert tau_via_quotients(alternating_cycle(2), 1) == 1
 
+    def test_dimension_below_one_refused(self):
+        with pytest.raises(ValueError, match="matrix dimension"):
+            tau_via_quotients(alternating_cycle(2), 0)
+
     def test_matches_count_weighted_pochhammer(self):
         # tau over the 2k-cycle must equal sum_j F(2k,j) (n)_j / n, and n^(2k) times the
         # exact moment: below n = k, _block_grid's capped search against _cycle_sweep's
@@ -463,6 +467,10 @@ class TestBruteOracles:
         traffic_state_brute(alternating_cycle(3), 6, 30, seed=1)
         assert counts and max(counts) * 6 ** 6 <= graphs._BRUTE_BUDGET
 
+    def test_dimension_below_one_refused(self):
+        with pytest.raises(ValueError, match="matrix dimension"):
+            traffic_state_brute(alternating_cycle(2), 0, 10, seed=0)
+
     @pytest.mark.parametrize("samples", [0, -3])
     def test_fewer_than_one_sample_refused(self, samples):
         with pytest.raises(ValueError, match="at least one sample"):
@@ -489,6 +497,9 @@ class TestBruteOracles:
             traffic_state_brute(alternating_cycle(4), 2, 100, seed=0)
         with pytest.raises(ScaleLimitError):
             traffic_state_brute(alternating_cycle(2), 7, 100, seed=0)
+        # one complex128 value a sample: past 2^23 samples the array would pass 128 MiB
+        with pytest.raises(ScaleLimitError, match="samples"):
+            traffic_state_brute(alternating_cycle(2), 2, 2**23 + 1, seed=0)
 
 
 def literal_map_sum(g, u, injective):

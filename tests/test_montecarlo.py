@@ -15,6 +15,7 @@ from unimoments import (
     ColoredDigraph,
     InternalCheckError,
     ScaleLimitError,
+    ValidationReport,
     alternating_cycle,
     estimate_moment,
     exact_moment,
@@ -715,6 +716,11 @@ class TestValidateAgainstExact:
     def test_invalid_k_max(self):
         with pytest.raises(ValueError):
             validate_against_exact(0, [2], 400, seed=1)
+
+    def test_an_empty_report_has_nothing_out_of_bounds(self):
+        # validate_against_exact never returns one: it refuses k_max < 1 and no dimension
+        report = ValidationReport(())
+        assert (report.max_abs_z, report.fraction_within_4, report.passed) == (0.0, 1.0, True)
 
     @pytest.mark.parametrize("k_max, n_list, samples, seed, error, match", [
         (2, [2], 1, 1, ValueError, "samples"),

@@ -20,7 +20,7 @@ from unimoments import (
     monomial_to_pochhammer,
     pochhammer_to_monomial,
 )
-from unimoments import counting
+from unimoments import counting, graphs
 from unimoments.tables import CONJECTURED_COUNTS, REFERENCE_COUNTS
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
@@ -161,6 +161,11 @@ class TestConjecturedValues:
     def test_breaking_entry(self):
         assert conjectured_ftable(6)[2] == 10988
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_refused(self, k):
+        with pytest.raises(ValueError, match="positive integer"):
+            conjectured_ftable(k)
+
     def test_k5_row_still_exact(self):
         assert conjectured_ftable(5) == [1, 251, 1520, 1665, 510, 42]
 
@@ -213,6 +218,19 @@ class TestFindDisproof:
         mismatches = find_disproof(7)
         assert (7, 3, 78428, 78806) in mismatches
         assert (7, 4, 248339, 249137) in mismatches
+
+    def test_column_3_falls_short_through_2k_64(self):
+        counting._cycle_grid(32, 3)  # one search keeps every shallower row at cap 3
+        for k in range(6, 33):
+            # blocks of at most 3 rows and 3 columns make up every partition into 3 blocks
+            actual = graphs._grid_counts(counting._cycle_grid(k, 3), 2 * k)[3]
+            assert actual > conjectured_ftable(k)[2], k
+        assert actual == 2642915765707833602579678330
+        assert conjectured_ftable(32)[2] == 547869213587926629028486970
+        # with F(64, 1) = 1 and F(64, 2) = C(64, 32) - 1 it makes Q_32(3), which
+        # test_transfer checks against the reduced transfer count
+        q = 3 + 6 * (math.comb(64, 32) - 1) + 6 * actual
+        assert q == exact_moment(32, 3) * 3 ** 65
 
     def test_one_search(self, block_grid_calls):
         find_disproof(8)
