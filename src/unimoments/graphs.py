@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ScaleLimitError
-from .sampling import check_seed, unimodular_batch
+from .sampling import ROOTS, check_seed, unimodular_batch
 
 __all__ = [
     "Color",
@@ -61,6 +61,9 @@ BRUTE_MAX_VERTICES = 6
 _BRUTE_BUDGET = 1 << 19
 # Samples at most: their values are one complex128 array, 128 MiB at the cap.
 _BRUTE_MAX_SAMPLES = 1 << 23
+# Edges at most: an entry's net exponent, at most twice the edges in the variance,
+# stays below ``ROOTS`` (``sampling``).  einsum's pairwise path has no operand cap.
+_BRUTE_MAX_EDGES = (ROOTS - 1) // 2
 
 # The most states one layer of balanced_quotient_counts may hold.  Two
 # layers are alive at once, and each state holds its map of block counts.
@@ -479,6 +482,10 @@ def traffic_state_brute(g: ColoredDigraph, n: int, samples: int, seed: int,
     for; exponential in the vertex count, with one value held per sample,
     hence the small-scale guards.  With ``with_stderr`` returns (mean,
     standard error) instead of the mean.
+
+    Entries are uniform 256th roots of unity (``sampling``), so the estimate
+    is exact only while every entry's net exponent stays below 256, in the
+    variance too: hence at most 127 edges.
     """
     n, samples = operator.index(n), operator.index(samples)
     check_seed(seed)
@@ -492,6 +499,9 @@ def traffic_state_brute(g: ColoredDigraph, n: int, samples: int, seed: int,
     if samples > _BRUTE_MAX_SAMPLES:
         raise ScaleLimitError(f"brute-force evaluator limited to {_BRUTE_MAX_SAMPLES} samples "
                               f"(got {samples})")
+    if len(g.edges) > _BRUTE_MAX_EDGES:
+        raise ScaleLimitError(f"brute-force evaluator limited to {_BRUTE_MAX_EDGES} edges "
+                              f"(got {len(g.edges)})")
     v = g.vertex_count
     values = np.full(samples, n ** v / n, dtype=np.complex128)  # with no edge
     if g.edges:

@@ -13,11 +13,15 @@ below the floor.
 
 Determinism contract: sample i is a fixed slice of the seed's Philox stream
 (see ``sampling``), so per-sample traces depend only on (seed, sample index).
-They are computed in fixed batches aligned to absolute sample indices, each
-batch one contiguous draw from the stream, so estimates are bit-identical for
-every thread count and batch size on one host.  Across numpy builds or CPUs
-the last digits can differ, since numpy picks its tan kernel (``sampling``)
-and BLAS its kernels by CPU.  A batch holds a few MiB of matrices
+Each entry is a uniform 256th root of unity, one stream byte looked up in a
+table, and the traces have exactly the means and variances they have under
+the uniform circle (``sampling`` has the degree bound).  Traces are computed
+in fixed batches aligned to absolute sample indices, each batch one
+contiguous draw from the stream, so estimates are bit-identical for every
+thread count and batch size on one host.  Across hosts a sample can differ
+only through the table, which the platform's complex exp builds once per
+process; the last digits of a trace can differ too, since BLAS picks its
+kernels by CPU.  A batch holds a few MiB of matrices
 (``_BATCH_ENTRIES``) and writes its rows of the one preallocated trace array;
 the final reduction is a single numpy pairwise sum over that index-ordered
 array.  Batches run on a pool of threads in the calling process.  Below
@@ -181,14 +185,16 @@ class ValidationReport:
 
     entries: tuple[MomentEstimate, ...]
 
+    def __post_init__(self) -> None:
+        if not self.entries:
+            raise ValueError("a report needs at least one estimate")  # else it would pass
+
     @property
     def max_abs_z(self) -> float:
-        return max((abs(e.z) for e in self.entries), default=0.0)
+        return max(abs(e.z) for e in self.entries)
 
     @property
     def fraction_within_4(self) -> float:
-        if not self.entries:
-            return 1.0
         return sum(abs(e.z) <= 4.0 for e in self.entries) / len(self.entries)
 
     @property
@@ -226,9 +232,7 @@ def _batch_traces(n: int, powers: tuple[int, ...], seed: int, start: int, count:
     """
     u, v, rho = (stack[:count] for stack in workspace.stacks)
     terms = None if workspace.terms is None else workspace.terms[:count]
-    # the half angles go where rho will be; the buffers go by position, as a
-    # stand-in for the sampler that takes *args expects
-    unimodular_batch(n, seed, start, count, u, _reals(rho))
+    unimodular_batch(n, seed, start, count, u)  # ``out`` by position: stand-ins take *args
     _product(u, np.conjugate(u, out=v).transpose(0, 2, 1), rho, terms)
     rho /= n ** 2
     skew = np.subtract(rho, np.conjugate(rho.transpose(0, 2, 1), out=v), out=v)

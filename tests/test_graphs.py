@@ -500,6 +500,12 @@ class TestBruteOracles:
         # one complex128 value a sample: past 2^23 samples the array would pass 128 MiB
         with pytest.raises(ScaleLimitError, match="samples"):
             traffic_state_brute(alternating_cycle(2), 2, 2**23 + 1, seed=0)
+        # 128 edges: an entry's net exponent in the variance could reach 256, where a
+        # 256th root of unity stops having the circle's moments
+        many = ColoredDigraph(2, ((0, 1, R),) * 128)
+        with pytest.raises(ScaleLimitError, match="edges"):
+            traffic_state_brute(many, 2, 100, seed=0)
+        traffic_state_brute(ColoredDigraph(2, many.edges[1:]), 2, 100, seed=0)
 
 
 def literal_map_sum(g, u, injective):

@@ -23,7 +23,7 @@ from unimoments import (
     validate_against_exact,
 )
 from unimoments import counting, montecarlo
-from unimoments.sampling import _unit_circle, unimodular_batch
+from unimoments.sampling import ROOTS, _table, unimodular_batch
 
 
 class TestSampler:
@@ -70,37 +70,36 @@ class TestSampler:
         with pytest.raises(TypeError):
             unimodular_batch(**arguments)
 
-    @pytest.mark.parametrize("given", ["out", "angles", "both"])
-    def test_given_buffers_give_the_same_bits(self, given):
-        # odd n and start: the batch starts inside a four-word Philox block
+    def test_a_given_buffer_gives_the_same_bits(self):
+        # odd n and start: the batch starts inside a 32-byte Philox block
         n, seed, start, count = 3, 4, 7, 5
         want = unimodular_batch(n, seed, start, count)
-        out = np.full((count, n, n), np.nan, dtype=np.complex128) if given != "angles" else None
-        angles = np.full((count, n, n), np.nan) if given != "out" else None
-        got = unimodular_batch(n, seed, start, count, out, angles)
+        out = np.full((count, n, n), np.nan, dtype=np.complex128)
+        got = unimodular_batch(n, seed, start, count, out)
+        assert got is out
         assert (got == want).all()
-        if out is not None:
-            assert got is out
 
-    @pytest.mark.parametrize("out, angles", [
-        (np.empty((2, 3, 3)), None),  # not complex
-        (np.empty((3, 3, 3), dtype=np.complex128), None),  # another count
-        (np.empty((2, 3, 6), dtype=np.complex128)[:, :, ::2], None),  # not contiguous
-        (None, np.empty((2, 3, 3), dtype=np.complex128)),
-        (None, np.empty((2, 9))),
+    @pytest.mark.parametrize("out", [
+        np.empty((2, 3, 3)),  # not complex
+        np.empty((3, 3, 3), dtype=np.complex128),  # another count
+        np.empty((2, 3, 6), dtype=np.complex128)[:, :, ::2],  # not contiguous
+        np.empty((2, 9), dtype=np.complex128),  # another shape
     ])
-    def test_unfit_buffers_refused(self, out, angles):
+    def test_unfit_buffers_refused(self, out):
         with pytest.raises(ValueError, match="buffer"):
-            unimodular_batch(3, 1, 0, 2, out, angles)
+            unimodular_batch(3, 1, 0, 2, out)
+
+    def test_empty_batch(self):
+        assert unimodular_batch(3, 1, 5, 0).shape == (0, 3, 3)
 
 
 class TestStreamContract:
-    """Sample i of dimension n is the uniforms [i n^2, (i+1) n^2) of Philox(key=seed)."""
+    """Sample i of dimension n is the bytes [i n^2, (i+1) n^2) of Philox(key=seed)."""
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(1, 9), st.integers(0, 2**64 - 1), st.integers(0, 10**6),
            st.integers(0, 6))
-    # odd n: a sample starts inside a four-word Philox block
+    # odd n: a sample starts inside a 32-byte Philox block, and inside a word
     @example(n=3, seed=0, start=1, count=5)
     @example(n=5, seed=9, start=7, count=3)
     @example(n=1, seed=2**64 - 1, start=3, count=6)
@@ -111,20 +110,18 @@ class TestStreamContract:
             assert (batch[i] == unimodular_batch(n, seed, start + i, 1)[0]).all()
 
     def test_golden_seed_zero(self):
-        # derived from the raw stream alone: theta / 2 = pi (raw >> 11) 2^-53, t = tan,
-        # r = 2 / (1 + t^2), entry (r - 1) + i t r
+        # derived from the raw stream alone: byte e of the words, least significant
+        # byte first, picks exp(2 pi i byte / 256) for entry e
         n, samples = 3, 3
-        raw = np.random.Philox(key=0).random_raw(samples * n * n)
-        unit = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        t = np.tan(np.pi * unit)
-        r = 2.0 / (1.0 + t * t)
-        want = ((r - 1.0) + 1j * (t * r)).reshape(samples, n, n)
+        raw = np.random.Philox(key=0).random_raw(4)  # 32 bytes cover 27 entries
+        stream = [(int(word) >> (8 * b)) & 0xFF for word in raw for b in range(8)]
+        want = _table()[stream[:samples * n * n]].reshape(samples, n, n)
         for i in range(samples):
             assert (unimodular_batch(n, 0, i, 1)[0] == want[i]).all()
         assert (unimodular_batch(n, seed=0, start=0, count=samples) == want).all()
 
-    # tan runs in SIMD vectors (8 doubles wide on AVX-512), and n = 3 puts samples at
-    # every offset within a vector and a four-word Philox block
+    # n = 3 puts samples at every byte offset within a word and a 32-byte Philox
+    # block, and a 9-byte sample straddles words
     @pytest.mark.parametrize("start", range(16))
     def test_a_sample_has_the_same_bits_at_every_lane(self, start):
         n = 3
@@ -138,38 +135,37 @@ class TestStreamContract:
 LONG_DOUBLE_IS_WIDE = np.finfo(np.longdouble).eps <= 1e-18
 
 
+class TestLaw:
+    """Entries are uniform 256th roots of unity, whose moments E[z^m] match the
+    circle's for 0 < |m| < 256."""
+
+    def test_every_moment_below_the_order_vanishes(self):
+        table = _table()
+        for m in (*range(-ROOTS + 1, 0), *range(1, ROOTS)):
+            assert abs((table ** m).sum()) <= 1e-10, m
+
+    def test_the_order_itself_does_not(self):
+        assert abs((_table() ** ROOTS).sum() - ROOTS) <= 1e-10
+
+    def test_the_estimands_stay_below_the_order(self):
+        # an entry's net exponent is at most k in tr(rho^k), and 2k in the variance
+        # behind the standard error
+        assert 2 * montecarlo.MAX_POWER < ROOTS
+
+    def test_every_byte_value_is_drawn(self):
+        entries = unimodular_batch(8, 2, 0, 64).ravel()
+        assert set(entries.tolist()) == set(_table().tolist())
+
+
 @pytest.mark.skipif(not LONG_DOUBLE_IS_WIDE, reason="needs an extended long double")
 class TestAccuracy:
-    """Entries against long-double cos and sin of the same float angle 2 phi."""
-
-    @staticmethod
-    def error(half, entries):
-        theta = 2 * half.astype(np.longdouble)  # exact: doubling a double
-        return max(np.abs(entries.real - np.cos(theta)).max(),
-                   np.abs(entries.imag - np.sin(theta)).max())
-
-    def test_stream_entries_within_2_to_the_minus_50(self):
-        n, count = 4, 12_800  # 204,800 stream words
-        raw = np.random.Philox(key=31).random_raw(count * n * n)
-        half = np.pi * ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53)
-        # the angles cos and sin were taken of, before entries came from tan
-        theta = np.random.Generator(np.random.Philox(key=31)).uniform(0.0, 2.0 * np.pi,
-                                                                       count * n * n)
-        assert (theta == 2.0 * half).all()
-        entries = unimodular_batch(n, 31, 0, count).ravel()
-        assert self.error(half, entries) <= 2.0**-50
-
-    def test_edge_words(self):
-        units = np.array([0.0, 0.25, 0.5, 0.75, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1 - 2.0**-53])
-        half = np.pi * units
-        entries = _unit_circle(half.copy(), np.empty(half.size, dtype=np.complex128))
-        assert np.isfinite(entries.real).all() and np.isfinite(entries.imag).all()
-        assert self.error(half, entries) <= 2.0**-50
-        assert entries[0] == 1.0
-        # at u = 1/2 the tangent of the float half angle is about 1.6e16, and a few
-        # 1e15 one word either side: the entry is (-1, about 1e-16), not NaN
-        assert 0 < entries[2].imag < 2e-16
-        assert (entries[[2, 4, 5]].real == -1.0).all()
+    def test_table_within_2_to_the_minus_50(self):
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        theta = 2 * pi * np.arange(ROOTS, dtype=np.longdouble) / ROOTS
+        table = _table()
+        assert table.shape == (ROOTS,) and table[0] == 1.0
+        assert np.abs(table.real - np.cos(theta)).max() <= 2.0**-50
+        assert np.abs(table.imag - np.sin(theta)).max() <= 2.0**-50
 
 
 class TestPerSampleTraces:
@@ -717,10 +713,11 @@ class TestValidateAgainstExact:
         with pytest.raises(ValueError):
             validate_against_exact(0, [2], 400, seed=1)
 
-    def test_an_empty_report_has_nothing_out_of_bounds(self):
-        # validate_against_exact never returns one: it refuses k_max < 1 and no dimension
-        report = ValidationReport(())
-        assert (report.max_abs_z, report.fraction_within_4, report.passed) == (0.0, 1.0, True)
+    def test_an_empty_report_is_refused(self):
+        # with nothing in it a report would pass; validate_against_exact never builds
+        # one, since it refuses k_max < 1 and no dimension
+        with pytest.raises(ValueError, match="at least one"):
+            ValidationReport(())
 
     @pytest.mark.parametrize("k_max, n_list, samples, seed, error, match", [
         (2, [2], 1, 1, ValueError, "samples"),

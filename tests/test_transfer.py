@@ -14,7 +14,9 @@ from itertools import chain, permutations, product
 
 import pytest
 
-from unimoments import exact_moment
+from unimoments import count_ddcg_partitions, exact_moment
+
+from test_counting import ROW_24
 
 
 def transfer_count(k: int, n: int) -> int:
@@ -114,6 +116,33 @@ def reduced_transfer_count(k: int, n: int, canonical=canonical_ledger) -> int:
                     following[canonical(cells, other, not from_column)] += ways * weight
         layer = following
     return n * layer.get(zero, 0)
+
+
+def transfer_row(k: int) -> list[Fraction]:
+    """Row [F(2k, 1), ..., F(2k, k+1)] from the transfer counts Q_k(1), ..., Q_k(k+1).
+
+    Q_k(n) = sum_j F(2k, j) (n)_j, of degree k + 1, with Q_k(0) = 0; the j-th
+    forward difference of the falling factorial (n)_i at 0 is j! when i = j
+    and 0 otherwise, so F(2k, j) = Δ^j Q_k(0) / j!.
+    """
+    values = [0] + [reduced_transfer_count(k, n) for n in range(1, k + 2)]
+    row = []
+    for j in range(1, k + 2):
+        values = [b - a for a, b in zip(values, values[1:])]
+        row.append(Fraction(values[0], math.factorial(j)))
+    return row
+
+
+@pytest.mark.parametrize("k", [
+    *range(1, 8),
+    10,  # under 1 s
+    pytest.param(12, marks=pytest.mark.slow),  # about 9 s
+])
+def test_transfer_row_equals_the_engine_row(k):
+    row = transfer_row(k)
+    assert row == count_ddcg_partitions(k)
+    if k == 12:  # columns 6..12 of ROW_24 have no other check that skips the engine
+        assert row == ROW_24
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
