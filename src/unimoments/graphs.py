@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -506,12 +507,14 @@ def traffic_state_brute(g: ColoredDigraph, n: int, samples: int, seed: int,
     values = np.full(samples, n ** v / n, dtype=np.complex128)  # with no edge
     if g.edges:
         scale = n ** (v - len({x for e in g.edges for x in e[:2]})) / n
+        # equal edges read one entry, and only they: one factor each, to their count
+        reads = [(color, [v, head, tail] if color is Color.RED else [v, tail, head], times)
+                 for (tail, head, color), times in Counter(g.edges).items()]
 
         def operands(u):
-            conj = u.conj()
-            out = [[u, [v, head, tail]] if color is Color.RED else [conj, [v, tail, head]]
-                   for tail, head, color in g.edges]
-            return [x for operand in out for x in operand] + [[v]]
+            entries = {Color.RED: u, Color.BLUE: u.conj()}
+            return [x for color, axes, times in reads for x in
+                    (entries[color] ** times if times > 1 else entries[color], axes)] + [[v]]
 
         # Every factor carries the sample index and the path is planned for one
         # sample, so each sample meets the same sums in every chunk; a chunk of

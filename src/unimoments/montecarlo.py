@@ -24,11 +24,10 @@ process; the last digits of a trace can differ too, since BLAS picks its
 kernels by CPU.  A batch holds a few MiB of matrices
 (``_BATCH_ENTRIES``) and writes its rows of the one preallocated trace array;
 the final reduction is a single numpy pairwise sum over that index-ordered
-array.  Batches run on a pool of threads in the calling process.  Below
-``THREADED_FROM`` the pool is one thread; from there on, one per CPU and
-batch, and numpy's BLAS is held to one thread while the pool runs, so that
-pool threads do not contend with BLAS threads for the same cores.
-``_BATCH_ENTRIES`` bounds the batches in flight together, not each batch.
+array.  Batches run on a pool of threads in the calling process, one per CPU
+and batch, with numpy's BLAS held to one thread meanwhile so that the two do
+not contend for the cores.  ``_BATCH_ENTRIES`` bounds the batches in flight
+together, not each batch.
 Every stage of a batch releases the GIL, but np.matmul and np.linalg.cholesky
 make one BLAS or LAPACK call per matrix, and at small N those calls were
 measured not to overlap across threads.  So up to ``STACKED_MAX`` the
@@ -37,12 +36,11 @@ rank-1 updates, and a right-looking Cholesky that checks only its pivots.
 They sum in another order than BLAS, so there a trace can differ in its last
 bits from the BLAS path's, but never between layouts.
 
-Each pool thread makes one workspace (``_Workspace``) at its first batch, and
-every stage of every later batch writes into it with ``out=``; the workspaces
-go with the pool's threads when the call ends.  So a batch touches the pages
-the last one touched.  Stacks allocated and freed per batch would go back to
-the system (glibc trims a thread's arena) and be faulted back in, zeroed, by
-the next batch.
+Each pool thread runs its share of the batches (every width-th) in order, in
+one workspace (``_Workspace``) that every stage of every batch writes into with
+``out=``.  So a batch touches the pages the last one touched.  Stacks allocated
+and freed per batch would go back to the system (glibc trims a thread's arena)
+and be faulted back in, zeroed, by the next batch.
 """
 
 from __future__ import annotations
@@ -80,7 +78,10 @@ EIGENVALUE_FLOOR = -1e-10
 # estimand (e.g. k = 1), not statistical error; they score z = 0.
 DETERMINISTIC_DIFF_FLOOR = 1e-12
 
-_BATCH = 1024  # samples at most in a batch, the unit of work splitting
+# Samples at most in a batch, the unit of work splitting.  Without this cap a batch
+# at N <= 8 would hold up to _BATCH_ENTRIES / N^2 samples, and on a 2-core host the
+# benchmark's mc-small-n workload (N = 2, 4, 8) peaked at 59-63 against 54 MiB RSS.
+_BATCH = 1024
 # Matrix entries at most in all the batches in flight together: a complex128 stack
 # of them is 2 MiB.  Each pool thread's workspace holds three complex128 stacks of
 # its share, and a fourth from N = 1 to STACKED_MAX, the products' terms; above
@@ -89,16 +90,6 @@ _BATCH = 1024  # samples at most in a batch, the unit of work splitting
 # since larger stacks miss the cache at every stage, and held 9 MiB more.  On one
 # thread N <= 11 keeps _BATCH samples; on two, N <= 8.
 _BATCH_ENTRIES = 1 << 17
-# The smallest dimension whose batches run on more than one thread.  On a 2-core
-# host (estimate_moment, 20,000 samples, 1 thread against 2, medians of 31) a second
-# thread saves 25-30% at N = 3 and k = 6 (16.6-18.5 against 22.1-26.4 ms) and 0-24%
-# at k = 2; at N = 1 and 2 a batch is too little numpy work, and it gains nothing.
-# It saves 33-35% at N = 4 (k = 4, 6), 38% at N = 8 and about half at N = 16 and 40.
-# From N = 41 OpenBLAS would spread each product over the cores itself, for at most
-# a fifth off at twice the CPU time.  Held to one thread under two pool threads
-# instead, it makes estimate_moment 38-48% faster than one pool thread over
-# threaded BLAS at N = 41 to 256.
-THREADED_FROM = 3
 # The largest dimension whose products and Cholesky check are numpy arithmetic over
 # the whole stack (``_product``, ``_positive_definite``), not one BLAS or LAPACK call
 # per matrix.  At small N those calls do not overlap across pool threads: on a
@@ -144,6 +135,12 @@ _blas_saved = 0  # the count the outermost open context found
 def _one_blas_thread():
     """Hold numpy's BLAS to one thread, then restore the count the outermost of
     any nested or concurrent contexts found.  Without a setter, this does nothing.
+
+    On a 2-core host, this makes estimate_moment 38-48% faster at N = 41 to 256
+    than one pool thread over threaded BLAS, which spreads each product over the
+    cores for at most a fifth off at twice the CPU time; two pool threads over
+    threaded BLAS took about 3x as long (1033 against 297 ms at N = 64, and 742
+    against 283 ms at N = 128).
 
     The count is process-wide (``openblas_set_num_threads_local`` sets it for the
     whole process too), so each context counts itself in under a lock.
@@ -203,10 +200,10 @@ class ValidationReport:
 
 
 class _Workspace:
-    """The arrays that one pool thread reuses for every batch of one ``_all_traces``
-    call: three complex128 stacks of ``size`` matrices, the largest batch, of which
-    a shorter batch uses leading slices, which are contiguous too, and up to
-    ``STACKED_MAX`` a fourth, the terms of the stacked products."""
+    """The arrays that one pool thread reuses for every batch of its share: three
+    complex128 stacks of ``size`` matrices, the largest batch, of which a shorter
+    batch uses leading slices, which are contiguous too, and up to ``STACKED_MAX``
+    a fourth, the terms of the stacked products."""
 
     def __init__(self, n: int, size: int) -> None:
         # the samples, their conjugates and rho; then the Cholesky input and the powers
@@ -329,22 +326,20 @@ def _entrywise_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _all_traces(n: int, powers: tuple[int, ...], samples: int, seed: int,
                 workers: int | None) -> np.ndarray:
-    cpus = os.cpu_count() or 1
-    width = min(workers or cpus, cpus) if n >= THREADED_FROM else 1
+    width = min(workers or math.inf, os.cpu_count() or 1)
     size = max(1, min(_BATCH, _BATCH_ENTRIES // (width * n ** 2)))
     starts = range(0, samples, size)
     width = min(width, len(starts))
     traces = np.empty((samples, len(powers)))
-    local = threading.local()  # each pool thread's workspace, freed with the pool's threads
 
-    def fill(start: int) -> None:
-        if not hasattr(local, "workspace"):
-            local.workspace = _Workspace(n, size)
-        stop = min(start + size, samples)
-        traces[start:stop] = _batch_traces(n, powers, seed, start, stop - start, local.workspace)
+    def fill(share: range) -> None:
+        workspace = _Workspace(n, size)
+        for start in share:  # a failed batch stops its thread's share here
+            stop = min(start + size, samples)
+            traces[start:stop] = _batch_traces(n, powers, seed, start, stop - start, workspace)
 
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=width) as pool:
-        list(pool.map(fill, starts))  # reading each result raises a batch's error
+        list(pool.map(fill, (starts[t::width] for t in range(width))))  # raises a share's error
     return traces
 
 

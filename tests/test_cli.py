@@ -422,7 +422,7 @@ class TestWorkers:
         assert pool_widths == widths
 
     @pytest.mark.parametrize("n, samples, workers, width", [
-        (2, 3000, ["--workers", "4"], 1),  # below the threaded dimensions
+        (2, 3000, ["--workers", "4"], 3),  # one thread per batch at every dimension
         (64, 1100, ["--workers", "4"], 4),  # BLAS on one thread under the pool
         (8, 5000, [], 4),  # one thread per CPU ...
         (8, 1000, [], 2),  # ... and per batch

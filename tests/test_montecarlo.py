@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -363,21 +364,19 @@ def record_batches(monkeypatch, compute=True):
 
 
 class TestBatchLayout:
-    # 2 lies below the threaded dimensions, so it runs one thread whatever is asked; up
-    # to 4 the products and the floor check are stacked arithmetic
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 64])
+    # up to 4 the products and the floor check are stacked arithmetic
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 64])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_small_batches_are_bit_identical(self, monkeypatch, pool_widths, n, workers):
         powers, samples, seed = (1, 2, 5), 300, 21
-        width = workers if n >= montecarlo.THREADED_FROM else 1
         want = montecarlo._all_traces(n, powers, samples, seed, workers=1)
         # the budget covers every batch in flight: 37 samples a batch
-        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 37 * n * n * width)
+        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 37 * n * n * workers)
         calls = record_batches(monkeypatch)
         got = montecarlo._all_traces(n, powers, samples, seed, workers=workers)
         assert len(calls) == 9
         assert (got == want).all()
-        assert pool_widths[-1] == width
+        assert pool_widths[-1] == workers
 
     # at n = 5 a sample is 25 stream words, so samples straddle Philox blocks; n = 4 is
     # the largest stacked dimension
@@ -403,7 +402,7 @@ class TestBatchLayout:
         traces = montecarlo._all_traces(n, (2,), 2 * size + 1, seed=0, workers=workers)
         assert sorted(calls) == [(0, size), (size, size), (2 * size, 1)]
         assert traces.shape == (2 * size + 1, 1)
-        assert pool_widths == [workers if n >= montecarlo.THREADED_FROM else 1]
+        assert pool_widths == [workers]
 
     # from n = 65 on, einsum summed a one-sample batch to other bits than a larger one
     @pytest.mark.parametrize("n", [64, 65, 128, 200])
@@ -448,9 +447,27 @@ class TestBatchLayout:
         calls = record_batches(monkeypatch)
         got = montecarlo._all_traces(n, powers, samples, seed, workers=workers)
         assert len(calls) == 10
-        assert 1 <= len(sizes) <= workers and set(sizes) == {10}
+        assert sizes == [10] * workers
         assert pool_widths[-1] == workers
         assert (got == want).all()
+
+    # a thread runs its share in order, so its first failed batch is its last; the
+    # failure comes late, so that a pool of queued batches would start the next ones
+    # before the caller could cancel them
+    def test_a_failed_batch_stops_its_thread(self, monkeypatch, pool_widths):
+        calls = []
+
+        def failing(n, powers, seed, start, count, workspace):
+            calls.append(start)
+            time.sleep(0.05)
+            raise InternalCheckError("a failed batch")
+
+        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 100 * 4 * 4)
+        monkeypatch.setattr(montecarlo, "_batch_traces", failing)
+        with pytest.raises(InternalCheckError, match="a failed batch"):
+            montecarlo._all_traces(4, (2,), 500, seed=0, workers=1)
+        assert calls == [0]
+        assert pool_widths == [1]
 
     # a workspace holds the previous batch's arrays, and a short batch its leading slices
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65])
