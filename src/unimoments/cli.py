@@ -8,9 +8,9 @@ z-score against the exact value).
 JSON is the canonical format; every record carries schema_version, command,
 parameters, results, and runtime_ms.  CSV is a flat projection of the same
 rows.  Integers larger than 2^53 are emitted as decimal strings in JSON so
-double-precision consumers cannot corrupt them, and infinite floats (the
-z-score of a zero standard error) as the strings "inf" and "-inf", so every
-record is strict JSON.  Exit codes: 0 success, 2 usage error, 3 scale
+double-precision consumers cannot corrupt them.  The z-score is always a
+finite number: samples that all read one value off the exact one can only
+come from a fault, and exit 4.  Exit codes: 0 success, 2 usage error, 3 scale
 refusal, 4 internal numerical check failure.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 
@@ -28,7 +27,7 @@ from .errors import InternalCheckError, ScaleLimitError
 
 __all__ = ["main", "OUTPUT_SCHEMAS", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 JSON_SAFE_INT = 1 << 53
 
 EXIT_OK = 0
@@ -39,7 +38,6 @@ EXIT_INTERNAL = 4
 _INTEGER = {"type": "integer"}
 _INT_OR_STRING = {"type": ["integer", "string"]}
 _NUMBER = {"type": "number"}
-_NUMBER_OR_INFINITY = {"anyOf": [_NUMBER, {"enum": ["inf", "-inf"]}]}
 
 # The arrays in each command's results, each a map from its fields, in CSV
 # column order, to their JSON types.  The "rows" array is the CSV projection.
@@ -59,8 +57,7 @@ _COLUMNS: dict[str, dict[str, dict]] = {
     },
     "mc": {
         "rows": {"n": _INTEGER, "k": _INTEGER, "samples": _INTEGER, "seed": _INTEGER,
-                 "mean": _NUMBER, "std_error": _NUMBER, "exact": _NUMBER,
-                 "z": _NUMBER_OR_INFINITY},
+                 "mean": _NUMBER, "std_error": _NUMBER, "exact": _NUMBER, "z": _NUMBER},
     },
 }
 
@@ -96,8 +93,6 @@ OUTPUT_SCHEMAS: dict[str, dict] = {
 
 
 def _encode(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     if isinstance(value, bool) or not isinstance(value, int):
         return value
     return value if abs(value) <= JSON_SAFE_INT else str(value)

@@ -74,9 +74,9 @@ MAX_TRACES = 1 << 24  # samples x powers held: 128 MiB as float64, in one array
 
 HERMITIAN_DRIFT_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-10
-# Differences below this are floating-point residue of a deterministic
-# estimand (e.g. k = 1), not statistical error; they score z = 0.
-DETERMINISTIC_DIFF_FLOOR = 1e-12
+# A difference within this fraction of the exact value is floating-point residue of
+# a deterministic estimand (k = 1, or N = 1), not statistical error: it scores z = 0.
+DETERMINISTIC_DIFF_FLOOR = 1e-10
 
 # Samples at most in a batch, the unit of work splitting.  Without this cap a batch
 # at N <= 8 would hold up to _BATCH_ENTRIES / N^2 samples, and on a 2-core host the
@@ -362,11 +362,13 @@ def _check_inputs(dimensions: tuple[int, ...], powers: tuple[int, ...],
 
 
 def _z_score(mean: float, std_error: float, exact: float) -> float:
+    """(mean - exact) / std_error, or 0 for residue within the relative floor; only a
+    fault makes every sample equal, so a zero std_error with a larger difference raises."""
     diff = mean - exact
-    if abs(diff) <= DETERMINISTIC_DIFF_FLOOR:
+    if abs(diff) <= DETERMINISTIC_DIFF_FLOOR * abs(exact):
         return 0.0
     if std_error == 0.0:
-        return math.inf if diff > 0 else -math.inf
+        raise InternalCheckError(f"every sample reads {mean!r}, off the exact {exact!r}")
     return diff / std_error
 
 

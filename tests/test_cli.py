@@ -224,31 +224,27 @@ class TestMcCommand:
 
 
 class TestStrictJson:
-    @pytest.mark.parametrize("mean, text", [(0.5, "inf"), (0.125, "-inf")])
-    def test_infinite_z_is_a_string(self, capsys, monkeypatch, mean, text):
-        # constant traces away from the exact 3/8 give a zero standard error
-        # with a real difference, which scores z = +-inf
+    @pytest.mark.parametrize("mean", [0.5, 0.125])
+    def test_constant_traces_off_the_exact_value_exit_4(self, capsys, monkeypatch, mean):
+        # constant traces away from the exact 3/8 give a zero standard error with a
+        # real difference, which no sampling produces
         def constant(n, powers, samples, seed, workers):
             return np.full((samples, len(powers)), mean)
 
         monkeypatch.setattr(montecarlo, "_all_traces", constant)
-        code, out = run_cli(capsys, "mc", "--n", "2", "--k", "2", "--samples", "100")
-        assert code == 0
-
-        def reject(name):
-            raise ValueError(f"{name} is not valid JSON")
-
-        record = json.loads(out, parse_constant=reject)
-        jsonschema.validate(record, cli.OUTPUT_SCHEMAS["mc"])
-        assert record["results"]["rows"][0]["z"] == text
+        assert cli.main(["mc", "--n", "2", "--k", "2", "--samples", "100"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: every sample")
 
     def test_schema_rejects_other_strings(self):
-        row = {"n": 2, "k": 2, "samples": 100, "seed": 0, "mean": 0.5,
-               "std_error": 0.0, "exact": 0.375, "z": "Infinity"}
-        record = {"schema_version": cli.SCHEMA_VERSION, "command": "mc",
-                  "parameters": {}, "results": {"rows": [row]}, "runtime_ms": 0}
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(record, cli.OUTPUT_SCHEMAS["mc"])
+        for z in ("Infinity", "inf", "-inf"):
+            row = {"n": 2, "k": 2, "samples": 100, "seed": 0, "mean": 0.5,
+                   "std_error": 0.0, "exact": 0.375, "z": z}
+            record = {"schema_version": cli.SCHEMA_VERSION, "command": "mc",
+                      "parameters": {}, "results": {"rows": [row]}, "runtime_ms": 0}
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(record, cli.OUTPUT_SCHEMAS["mc"])
 
 
 ONE_CALL_PER_COMMAND = [

@@ -706,8 +706,28 @@ class TestZScore:
     def test_regular_ratio(self):
         assert montecarlo._z_score(0.5, 0.1, 0.3) == pytest.approx(2.0)
 
-    def test_zero_stderr_with_real_difference(self):
-        assert montecarlo._z_score(1.0, 0.0, 0.5) == math.inf
+    def test_floor_is_relative(self):
+        # E tr(rho^k) ~ C_k / N^k: a 20% error at 2e-14 is far below any absolute floor
+        assert montecarlo._z_score(2.4e-14, 1e-15, 2e-14) == pytest.approx(4.0)
+        assert montecarlo._z_score(2e-14 * (1 + 5e-11), 1e-30, 2e-14) == 0.0
+
+    def test_zero_stderr_with_real_difference_is_a_fault(self):
+        with pytest.raises(InternalCheckError, match="every sample"):
+            montecarlo._z_score(1.0, 0.0, 0.5)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_scaled_traces_are_caught_at_small_moments(self, monkeypatch, n):
+        # the exact k = 8 moment is 4.7e-12 at N = 64 and 1.9e-14 at N = 128
+        original = montecarlo._batch_traces
+        monkeypatch.setattr(montecarlo, "_batch_traces", lambda *args: 1.2 * original(*args))
+        assert abs(estimate_moment(n, 8, 200, seed=3).z) > 6
+
+    @pytest.mark.parametrize("n, k, samples", [(2, 1, 1000), (64, 1, 200), (256, 1, 100),
+                                               (1, 8, 1000), (1, 16, 1000)])
+    def test_deterministic_estimands_score_zero(self, n, k, samples):
+        # tr(rho) = 1 / N, and rho = 1 at N = 1; at k = 16 that residue is -2.2e-16
+        # against a standard error of 2.9e-17 on x86-64, a raw z of -7.6
+        assert estimate_moment(n, k, samples, seed=0).z == 0.0
 
 
 class TestValidateAgainstExact:

@@ -15,6 +15,7 @@ from unimoments import (
     borel_entry,
     conjectured_ftable,
     count_ddcg_partitions,
+    count_ddcg_rows,
     exact_moment,
     find_disproof,
     monomial_to_pochhammer,
@@ -117,6 +118,14 @@ class TestMomentCoefficients:
         coeffs = pochhammer_to_monomial(REFERENCE_COUNTS[14])
         assert coeffs == [0, 216, -1204, 3073, -4550, 4039, -2002, 429]
         assert exact_moment(7, 3) == moment_from_monomials(7, 3, coeffs)
+
+    def test_leading_terms_of_the_1_over_n_expansion(self):
+        # N^k E tr(rho^k) = C_k - C(2k, k - 2) / N + O(1 / N^2): the Marchenko-Pastur
+        # limit, then a term that pins F(2k, k), the column next to the top
+        for k, row in enumerate(count_ddcg_rows(13), start=1):
+            coeffs = pochhammer_to_monomial(row)
+            assert coeffs[k] == math.comb(2 * k, k) // (k + 1)
+            assert coeffs[k - 1] == (-math.comb(2 * k, k - 2) if k >= 2 else 0)
 
     def test_k1_is_square(self):
         assert pochhammer_to_monomial([1, 1]) == [0, 1]
